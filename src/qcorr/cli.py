@@ -74,7 +74,9 @@ def load_state_file(path: str) -> tuple[DensityMatrix, str]:
     if not isinstance(payload, dict) or "dims" not in payload or "matrix" not in payload:
         raise ParseFailure(f"{path}: expected an object with 'dims' and 'matrix'")
     dims = payload["dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) and d > 0 for d in dims):
+    if not isinstance(dims, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in dims
+    ):
         raise ParseFailure(f"{path}: 'dims' must be a list of positive integers")
     rows = payload["matrix"]
     n = int(np.prod(dims))

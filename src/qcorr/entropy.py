@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotProbability
-from .linalg import SUPPORT_CUTOFF, hermitian_eig, matrix_log_on_support, tensor_product
-from .states import DensityMatrix
+from .errors import DimensionMismatch, NegativeEigenvalue, NotProbability
+from .linalg import SUPPORT_CUTOFF, hermitian_eig, require_hermitian, tensor_product
+from .states import DensityMatrix, _matrix_of
 
 #: Weight of rho tolerated outside supp(sigma) before reporting infinity.
 SUPPORT_LEAK_TOL = 1e-8
@@ -45,10 +45,6 @@ def shannon_mutual_information(table) -> float:
     return shannon_entropy(t.sum(axis=1)) + shannon_entropy(t.sum(axis=0)) - shannon_entropy(flat)
 
 
-def _matrix_of(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
 def von_neumann_entropy(rho) -> float:
     """Shannon entropy of the spectrum; zero for pure states."""
     m = _matrix_of(rho)
@@ -68,18 +64,33 @@ def relative_entropy(rho, sigma, support_tol: float = SUPPORT_LEAK_TOL) -> float
     s = _matrix_of(sigma)
     if r.shape != s.shape:
         raise DimensionMismatch(f"shape mismatch {r.shape} vs {s.shape}")
+    require_hermitian(s)
+    return _relative_entropy_kernel(r, von_neumann_entropy(r), s, support_tol)
 
-    eig_s = hermitian_eig(s)
-    kernel = eig_s.eigenvalues <= SUPPORT_CUTOFF
+
+def _relative_entropy_kernel(
+    r: np.ndarray, s_r: float, s: np.ndarray, support_tol: float = SUPPORT_LEAK_TOL
+) -> float:
+    """S(r || s) given S(r), with one eigendecomposition of ``s`` and no input checks.
+
+    Returns ``math.inf`` when ``r`` has more than ``support_tol`` weight
+    outside the support of ``s``; raises :class:`NegativeEigenvalue` when
+    ``s`` is not PSD.
+    """
+    vals, vecs = np.linalg.eigh((s + s.conj().T) / 2)
+    kernel = vals <= SUPPORT_CUTOFF
     if np.any(kernel):
-        v_ker = eig_s.eigenvectors[:, kernel]
+        v_ker = vecs[:, kernel]
         leak = float(np.real(np.einsum("ij,jk,ki->", v_ker.conj().T, r, v_ker)))
         if leak > support_tol:
             return math.inf
-
-    log_s = matrix_log_on_support(s)
-    cross = float(np.real(np.trace(r @ log_s)))
-    return max(0.0, -von_neumann_entropy(r) - cross)
+        if vals[0] < -SUPPORT_CUTOFF:
+            raise NegativeEigenvalue(
+                f"eigenvalue {vals[0]:.3e} below -{SUPPORT_CUTOFF:.1e}; matrix is not PSD"
+            )
+    logs = np.where(~kernel, np.log2(np.maximum(vals, SUPPORT_CUTOFF)), 0.0)
+    log_s = (vecs * logs) @ vecs.conj().T
+    return max(0.0, -s_r - float(np.real(np.trace(r @ log_s))))
 
 
 def mutual_information(rho: DensityMatrix) -> float:

@@ -20,6 +20,9 @@ SUPPORT_CUTOFF = 1e-10
 
 HERMITICITY_TOL = 1e-10
 
+#: The Pauli matrices sigma_x, sigma_y, sigma_z, stacked along the first axis.
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
 
 @dataclass(frozen=True)
 class HermitianEigenSystem:
@@ -57,6 +60,14 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     if defect > tol:
         raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})")
     return m
+
+
+def bloch_states(r: np.ndarray) -> np.ndarray:
+    """Qubit operators (I + r . sigma) / 2 for Bloch vectors ``r`` of shape (..., 3).
+
+    The result has shape (..., 2, 2); it is a density matrix whenever |r| <= 1.
+    """
+    return 0.5 * (np.eye(2, dtype=complex) + np.einsum("...i,iab->...ab", r, PAULIS))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DualsDoNotResolveIdentity, SingularBasis
 from .linalg import (
+    PAULIS,
+    bloch_states,
     hermitian_eig,
     partial_trace,
     realign,
@@ -41,9 +43,7 @@ from .states import KET_0, KET_1, validate_density
 
 MAP_TOL = 1e-10
 
-SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
+SIGMA_1, SIGMA_2, SIGMA_3 = PAULIS
 
 
 @dataclass(frozen=True)
@@ -202,14 +202,9 @@ def classify(b: BMap, tol: float = MAP_TOL) -> MapClass:
 
 
 def qubit_basis_P() -> Tuple[np.ndarray, ...]:
-    """Four linearly independent qubit states spanning the Hermitian 2x2 space."""
-    eye = np.eye(2, dtype=complex)
-    return (
-        0.5 * (eye + SIGMA_1),
-        0.5 * (eye + SIGMA_2),
-        0.5 * (eye + SIGMA_3),
-        0.5 * (eye - SIGMA_1),
-    )
+    """Four linearly independent qubit states spanning the Hermitian 2x2 space:
+    the +1 eigenstates of sigma_1, sigma_2, sigma_3 and the -1 eigenstate of sigma_1."""
+    return tuple(bloch_states(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0]])))
 
 
 def dual_Q(basis: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:

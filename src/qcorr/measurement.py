@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotResolutionOfIdentity
-from .linalg import hermiticity_defect, partial_trace, tensor_product
+from .linalg import bloch_states, hermitian_eig, hermiticity_defect, partial_trace, tensor_product
 from .states import (
     DensityMatrix,
     KET_0,
     KET_1,
     KET_MINUS,
     KET_PLUS,
+    SeparableEnsemble,
     kron_all,
     validate_density,
 )
@@ -81,14 +82,9 @@ class MeasurementOutcome:
 
 def bloch_projectors(theta: float, phi: float) -> ProjectiveMeasurement:
     """Two-outcome qubit measurement along the Bloch direction (theta, phi)."""
-    nx = math.sin(theta) * math.cos(phi)
-    ny = math.sin(theta) * math.sin(phi)
-    nz = math.cos(theta)
-    up = 0.5 * np.array(
-        [[1.0 + nz, nx - 1j * ny], [nx + 1j * ny, 1.0 - nz]], dtype=complex
-    )
-    down = np.eye(2, dtype=complex) - up
-    return ProjectiveMeasurement((up, down))
+    n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    up = bloch_states(np.array(n))
+    return ProjectiveMeasurement((up, np.eye(2, dtype=complex) - up))
 
 
 def _leading_block(dims: Sequence[int], block_dim: int) -> int:
@@ -105,11 +101,35 @@ def _leading_block(dims: Sequence[int], block_dim: int) -> int:
     )
 
 
-def _expand(op: np.ndarray, dims: Sequence[int], block: int) -> np.ndarray:
-    rest = int(np.prod(dims[block:], initial=1))
-    if rest == 1:
-        return np.asarray(op, dtype=complex)
-    return tensor_product(op, np.eye(rest, dtype=complex))
+def _measurement_branches(rho: DensityMatrix, ops: Sequence[np.ndarray]):
+    """Branches (V (x) I) rho (V (x) I)^dag of operators V on the leading block.
+
+    Returns (branches, their traces as outcome probabilities, conditional
+    states of the remaining subsystems).  A conditional state is ``None``
+    when its outcome vanishes or no subsystem remains; the others are
+    normalized but not validated.
+    """
+    block = _leading_block(rho.dims, ops[0].shape[0])
+    rest = list(range(block, len(rho.dims)))
+    eye_rest = np.eye(int(np.prod(rho.dims[block:], initial=1)), dtype=complex)
+    branches, probs, conditionals = [], [], []
+    for v in ops:
+        e = tensor_product(v, eye_rest)
+        branch = e @ rho.matrix @ e.conj().T
+        p = float(branch.trace().real)
+        branches.append(branch)
+        probs.append(p)
+        vanishes = p < ZERO_OUTCOME_TOL or not rest
+        conditionals.append(None if vanishes else partial_trace(branch, rho.dims, rest) / p)
+    return branches, np.array(probs), conditionals
+
+
+def _remaining_dims(dims: Sequence[int], block_dim: int) -> tuple:
+    """Dimensions of the subsystems after the measured leading block."""
+    block = _leading_block(dims, block_dim)
+    if block == len(dims):
+        raise DimensionMismatch("measurement block covers the whole system; nothing remains")
+    return tuple(dims[block:])
 
 
 def measure_subsystem(rho: DensityMatrix, m: ProjectiveMeasurement) -> MeasurementOutcome:
@@ -119,40 +139,19 @@ def measure_subsystem(rho: DensityMatrix, m: ProjectiveMeasurement) -> Measureme
     remainder (``None`` when the outcome probability vanishes), and the
     pinched state built from all outcome branches.
     """
-    block = _leading_block(rho.dims, m.block_dim)
-    if block == len(rho.dims):
-        raise DimensionMismatch("measurement block covers the whole system; nothing remains")
-    rest = list(range(block, len(rho.dims)))
-
-    probs = []
-    conditionals: List[Optional[DensityMatrix]] = []
-    pinched = np.zeros_like(rho.matrix)
-    for pi in m.projectors:
-        e = _expand(pi, rho.dims, block)
-        branch = e @ rho.matrix @ e
-        p = float(branch.trace().real)
-        pinched += branch
-        probs.append(p)
-        if p < ZERO_OUTCOME_TOL:
-            conditionals.append(None)
-            continue
-        cond = partial_trace(branch, rho.dims, rest) / p
-        conditionals.append(validate_density(cond, tuple(rho.dims[i] for i in rest)))
+    rest_dims = _remaining_dims(rho.dims, m.block_dim)
+    branches, probs, conditionals = _measurement_branches(rho, m.projectors)
     return MeasurementOutcome(
-        probabilities=np.array(probs),
-        conditional_states=tuple(conditionals),
-        pinched_state=validate_density(pinched, rho.dims),
+        probabilities=probs,
+        conditional_states=tuple(None if c is None else validate_density(c, rest_dims) for c in conditionals),
+        pinched_state=validate_density(sum(branches), rho.dims),
     )
 
 
 def pinch(rho: DensityMatrix, m: ProjectiveMeasurement) -> DensityMatrix:
     """sum_a (P_a (x) I) rho (P_a (x) I); idempotent and trace exact."""
-    block = _leading_block(rho.dims, m.block_dim)
-    out = np.zeros_like(rho.matrix)
-    for pi in m.projectors:
-        e = _expand(pi, rho.dims, block)
-        out += e @ rho.matrix @ e
-    return validate_density(out, rho.dims)
+    branches, _, _ = _measurement_branches(rho, m.projectors)
+    return validate_density(sum(branches), rho.dims)
 
 
 def apply_povm_elements(rho: DensityMatrix, elements: Sequence[np.ndarray]):
@@ -168,24 +167,32 @@ def apply_povm_elements(rho: DensityMatrix, elements: Sequence[np.ndarray]):
         raise NotResolutionOfIdentity(
             f"sum V^dag V deviates from identity by {np.max(np.abs(total - np.eye(d))):.3e}"
         )
-    block = _leading_block(rho.dims, d)
-    if block == len(rho.dims):
-        raise DimensionMismatch("measurement block covers the whole system; nothing remains")
-    rest = list(range(block, len(rho.dims)))
+    rest_dims = _remaining_dims(rho.dims, d)
+    _, probs, conditionals = _measurement_branches(rho, ops)
+    return probs, tuple(None if c is None else validate_density(c, rest_dims) for c in conditionals)
 
-    probs = []
-    conditionals: List[Optional[DensityMatrix]] = []
-    for v in ops:
-        e = _expand(v, rho.dims, block)
-        branch = e @ rho.matrix @ e.conj().T
-        q = float(branch.trace().real)
-        probs.append(q)
-        if q < ZERO_OUTCOME_TOL:
-            conditionals.append(None)
-            continue
-        cond = partial_trace(branch, rho.dims, rest) / q
-        conditionals.append(validate_density(cond, tuple(rho.dims[i] for i in rest)))
-    return np.array(probs), tuple(conditionals)
+
+def _decohere_in_marginal_eigenbases(rho: DensityMatrix):
+    """``rho`` dephased in the product of its marginal eigenbases.
+
+    Returns the decohered state as the ensemble of product terms
+    p_ij |a_i><a_i| (x) |b_j><b_j|, with p_ij = <a_i b_j| rho |a_i b_j> and
+    vanishing terms dropped, together with the two marginal spectra.  The
+    ensemble is separable and reproduces both marginals of ``rho``.
+    """
+    eig_a = hermitian_eig(rho.marginal([0]).matrix)
+    eig_b = hermitian_eig(rho.marginal([1]).matrix)
+    u = tensor_product(eig_a.eigenvectors, eig_b.eigenvectors)
+    joint = np.real(np.diag(u.conj().T @ rho.matrix @ u))
+    keep = np.flatnonzero(joint >= ZERO_OUTCOME_TOL)
+    i, j = np.divmod(keep, eig_b.eigenvalues.size)
+    va, vb = eig_a.eigenvectors, eig_b.eigenvectors
+    ensemble = SeparableEnsemble(
+        joint[keep] / joint[keep].sum(),
+        tuple(np.einsum("ik,jk->kij", va[:, i], va[:, i].conj())),
+        tuple(np.einsum("ik,jk->kij", vb[:, j], vb[:, j].conj())),
+    )
+    return ensemble, (eig_a.eigenvalues, eig_b.eigenvalues)
 
 
 def is_insensitive(rho: DensityMatrix, m: ProjectiveMeasurement, tol: float = 1e-10):

@@ -25,9 +25,10 @@ from scipy.optimize import minimize
 
 from .entropy import mutual_information, relative_entropy, von_neumann_entropy
 from .errors import DegenerateMarginalWarning, DimensionMismatch, OutOfRange, UnsupportedDimension
-from .linalg import hermitian_eig, tensor_product
+from .linalg import bloch_states
 from .measurement import (
     ProjectiveMeasurement,
+    _decohere_in_marginal_eigenbases,
     _leading_block,
     bloch_projectors,
     measure_subsystem,
@@ -50,6 +51,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.grid_resolution < 8:
             raise OutOfRange(f"grid_resolution {self.grid_resolution} < 8")
+        if self.refine_iterations < 0:
+            raise OutOfRange(f"refine_iterations {self.refine_iterations} < 0")
         if self.tolerance <= 0:
             raise OutOfRange(f"tolerance {self.tolerance} must be positive")
 
@@ -93,17 +96,9 @@ class MeasureReport:
 
 def _bloch_pair_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Projector pairs along (theta, phi); shape (N, 2, 2, 2) = (point, outcome, row, col)."""
-    st, ct = np.sin(theta), np.cos(theta)
-    nx, ny, nz = st * np.cos(phi), st * np.sin(phi), ct
-    up = 0.5 * np.stack(
-        [
-            np.stack([1.0 + nz, nx - 1j * ny], axis=-1),
-            np.stack([nx + 1j * ny, 1.0 - nz], axis=-1),
-        ],
-        axis=-2,
-    ).astype(complex)
-    down = np.eye(2, dtype=complex) - up
-    return np.stack([up, down], axis=1)
+    st = np.sin(theta)
+    up = bloch_states(np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1))
+    return np.stack([up, np.eye(2, dtype=complex) - up], axis=1)
 
 
 def _branches(rho4: np.ndarray, projectors: np.ndarray):
@@ -137,13 +132,13 @@ def _measured_mi_batch(rho4: np.ndarray, s_b: float, theta: np.ndarray, phi: np.
 
 
 def _pinched_entropy_batch(rho4: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Entropy of sum_a (P_a (x) I) rho (P_a (x) I) on an angle batch."""
-    pairs = _bloch_pair_batch(theta, phi)
-    eye = np.eye(2, dtype=complex)
-    e = np.einsum("noij,kl->noikjl", pairs, eye).reshape(pairs.shape[:2] + (4, 4))
-    pinched = np.einsum("noab,bc,nocd->nad", e, rho4, e)
-    lam = np.linalg.eigvalsh(pinched)
-    return -_xlog2x(lam).sum(axis=-1)
+    """Entropy of sum_a (P_a (x) I) rho (P_a (x) I) on an angle batch.
+
+    For rank-1 P_a the pinched state is sum_a P_a (x) sigma_a with sigma_a
+    the unnormalized B branch, so its spectrum joins the branch spectra.
+    """
+    _, sigma_b = _branches(rho4, _bloch_pair_batch(theta, phi))
+    return -_xlog2x(np.linalg.eigvalsh(sigma_b)).sum(axis=(-2, -1))
 
 
 def _optimize_angles(objective, cfg: OptimizerConfig, maximize: bool) -> OptimizationResult:
@@ -277,9 +272,8 @@ def quantum_deficit(rho: DensityMatrix) -> float:
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch(f"expected a bipartite signature, got dims {rho.dims}")
-    eig_a = hermitian_eig(rho.marginal([0]).matrix)
-    eig_b = hermitian_eig(rho.marginal([1]).matrix)
-    for name, vals in (("A", eig_a.eigenvalues), ("B", eig_b.eigenvalues)):
+    decohered, spectra = _decohere_in_marginal_eigenbases(rho)
+    for name, vals in zip("AB", spectra):
         if vals.size > 1 and np.min(np.diff(vals)) < 1e-8:
             warnings.warn(
                 f"marginal {name} has an eigenvalue gap below 1e-8; "
@@ -287,10 +281,7 @@ def quantum_deficit(rho: DensityMatrix) -> float:
                 DegenerateMarginalWarning,
                 stacklevel=2,
             )
-    u = tensor_product(eig_a.eigenvectors, eig_b.eigenvectors)
-    joint = np.real(np.diag(u.conj().T @ rho.matrix @ u))
-    decohered = (u * np.maximum(joint, 0.0)) @ u.conj().T
-    return relative_entropy(rho.matrix, decohered)
+    return relative_entropy(rho.matrix, decohered.assemble())
 
 
 def discord_relative_entropy_decomposition(

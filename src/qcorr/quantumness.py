@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import relative_entropy, von_neumann_entropy
+from .entropy import _relative_entropy_kernel, relative_entropy, von_neumann_entropy
 from .errors import (
     DimensionMismatch,
     NoFeasibleWitness,
@@ -26,8 +26,15 @@ from .errors import (
     OutOfRange,
     UnsupportedDimension,
 )
-from .linalg import hermitian_eig, partial_trace, tensor_product
-from .measurement import ProjectiveMeasurement, ZERO_OUTCOME_TOL, example_extension_measurement, pinch
+from .linalg import PAULIS, bloch_states, partial_trace
+from .measurement import (
+    ProjectiveMeasurement,
+    ZERO_OUTCOME_TOL,
+    _decohere_in_marginal_eigenbases,
+    _measurement_branches,
+    example_extension_measurement,
+    pinch,
+)
 from .states import (
     DensityMatrix,
     SeparableEnsemble,
@@ -37,12 +44,6 @@ from .states import (
 )
 
 FEASIBILITY_TOL = 1e-4
-
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def residual_state(rho_ext: DensityMatrix, m: ProjectiveMeasurement) -> DensityMatrix:
@@ -61,12 +62,17 @@ def residual_state(rho_ext: DensityMatrix, m: ProjectiveMeasurement) -> DensityM
             f"measurement block dim {m.block_dim} != ancilla*system "
             f"{rho_ext.dims[0] * rho_ext.dims[1]}"
         )
-    pinched = pinch(rho_ext, m)
+    branches, probs, conditionals = _measurement_branches(rho_ext, m.projectors)
     keep = list(range(1, len(rho_ext.dims)))
-    reduced = partial_trace(pinched.matrix, rho_ext.dims, keep)
+    reduced = partial_trace(sum(branches), rho_ext.dims, keep)
     witness = None
-    if all(abs(pi.trace().real - 1.0) < 1e-10 for pi in m.projectors):
-        witness = separable_decomposition(rho_ext, m)
+    if all(abs(pi.trace().real - 1.0) <= 1e-10 for pi in m.projectors):
+        kept = [i for i, c in enumerate(conditionals) if c is not None]
+        witness = SeparableEnsemble(
+            probs[kept],
+            tuple(partial_trace(m.projectors[i], rho_ext.dims[:2], [1]) for i in kept),
+            tuple(conditionals[i] for i in kept),
+        )
     return validate_density(reduced, tuple(rho_ext.dims[i] for i in keep), witness=witness)
 
 
@@ -77,27 +83,10 @@ def separable_decomposition(rho_ext: DensityMatrix, m: ProjectiveMeasurement) ->
     the normalized remainder of the pinched branch.  Vanishing-probability
     outcomes are dropped.
     """
-    d_anc, d_sys = rho_ext.dims[0], rho_ext.dims[1]
-    if m.block_dim != d_anc * d_sys:
-        raise DimensionMismatch(
-            f"measurement block dim {m.block_dim} != ancilla*system {d_anc * d_sys}"
-        )
-    rest = list(range(2, len(rho_ext.dims)))
-    d_rest = int(np.prod([rho_ext.dims[i] for i in rest]))
-    weights, a_states, b_states = [], [], []
-    eye_rest = np.eye(d_rest, dtype=complex)
     for i, pi in enumerate(m.projectors):
         if abs(pi.trace().real - 1.0) > 1e-10:
             raise NotRankOne(f"projector {i} has trace {pi.trace().real:.6f}, expected 1")
-        e = tensor_product(pi, eye_rest)
-        branch = e @ rho_ext.matrix @ e
-        p = float(branch.trace().real)
-        if p < ZERO_OUTCOME_TOL:
-            continue
-        weights.append(p)
-        a_states.append(partial_trace(pi, (d_anc, d_sys), [1]))
-        b_states.append(partial_trace(branch, rho_ext.dims, rest) / p)
-    return SeparableEnsemble(np.array(weights), tuple(a_states), tuple(b_states))
+    return residual_state(rho_ext, m).witness
 
 
 @dataclass(frozen=True)
@@ -131,7 +120,13 @@ def verify_example_insensitivity(p: float) -> InsensitivityReport:
 
 @dataclass(frozen=True)
 class QuantumnessEstimate:
-    """Best found upper bound on the distance to the separable set."""
+    """Best found upper bound on the distance to the separable set.
+
+    ``restarts_used`` counts candidate witnesses, not restarts: the direct
+    witness when there is one, the product of marginals, the refined
+    decohered ensemble and each refined random restart, up to the first
+    zero bound.
+    """
 
     upper_bound: float
     witness: SeparableEnsemble
@@ -147,16 +142,14 @@ class QuantumnessEstimate:
 # ---------------------------------------------------------------------------
 
 def _state_to_bloch(rho: np.ndarray) -> np.ndarray:
-    return np.array([np.trace(rho @ pauli).real for pauli in _PAULIS])
+    return np.einsum("ab,iba->i", rho, PAULIS).real
 
 
 def _bloch_batch_to_states(r: np.ndarray) -> np.ndarray:
     """(k, 3) Bloch vectors, clipped to the unit ball, to (k, 2, 2) states."""
     norms = np.linalg.norm(r, axis=1)
     scale = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
-    r = r * scale[:, None]
-    paulis = np.stack(_PAULIS)
-    return 0.5 * (np.eye(2, dtype=complex) + np.einsum("ki,iab->kab", r, paulis))
+    return bloch_states(r * scale[:, None])
 
 
 def _params_to_sigma(x: np.ndarray, k: int):
@@ -170,20 +163,6 @@ def _params_to_sigma(x: np.ndarray, k: int):
     return sigma, weights, a_states, b_states
 
 
-def _lean_divergence(rho4: np.ndarray, s_rho: float, sigma: np.ndarray) -> float:
-    """S(rho||sigma) with one eigendecomposition; +inf outside sigma's support."""
-    vals, vecs = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-    kernel = vals <= 1e-10
-    if np.any(kernel):
-        v_ker = vecs[:, kernel]
-        leak = float(np.real(np.einsum("ij,jk,ki->", v_ker.conj().T, rho4, v_ker)))
-        if leak > 1e-8:
-            return math.inf
-    logs = np.where(vals > 1e-10, np.log2(np.maximum(vals, 1e-300)), 0.0)
-    log_sigma = (vecs * logs) @ vecs.conj().T
-    return max(0.0, -s_rho - float(np.real(np.trace(rho4 @ log_sigma))))
-
-
 def _marginal_b(sigma: np.ndarray) -> np.ndarray:
     return partial_trace(sigma, (2, 2), [1])
 
@@ -194,7 +173,7 @@ def _refine_witness(rho4, s_rho, rho_b, x0, k, outer_iterations=4, mu0=10.0, max
 
     def objective(xv, mu):
         sigma, _, _, _ = _params_to_sigma(xv, k)
-        div = _lean_divergence(rho4, s_rho, sigma)
+        div = _relative_entropy_kernel(rho4, s_rho, sigma)
         if math.isinf(div):
             return math.inf
         gap = _marginal_b(sigma) - rho_b
@@ -234,31 +213,6 @@ def _ensemble_to_params(ensemble: SeparableEnsemble, k: int) -> np.ndarray:
         x[k + 3 * i : k + 3 * i + 3] = _state_to_bloch(a)
         x[4 * k + 3 * i : 4 * k + 3 * i + 3] = _state_to_bloch(b)
     return x
-
-
-def _decohered_ensemble(rho: DensityMatrix) -> SeparableEnsemble:
-    """Product-basis diagonal ensemble in the marginal eigenbases.
-
-    Always a valid witness: it is separable and its B marginal equals the
-    input's exactly, so the search starts from a feasible point and the
-    resulting bound can never exceed the quantum deficit.
-    """
-    eig_a = hermitian_eig(rho.marginal([0]).matrix)
-    eig_b = hermitian_eig(rho.marginal([1]).matrix)
-    weights, a_states, b_states = [], [], []
-    for i in range(2):
-        va = eig_a.eigenvectors[:, i]
-        for j in range(2):
-            vb = eig_b.eigenvectors[:, j]
-            vec = tensor_product(va.reshape(-1, 1), vb.reshape(-1, 1)).reshape(-1)
-            p = float(np.real(vec.conj() @ rho.matrix @ vec))
-            if p < ZERO_OUTCOME_TOL:
-                continue
-            weights.append(p)
-            a_states.append(np.outer(va, va.conj()))
-            b_states.append(np.outer(vb, vb.conj()))
-    w = np.array(weights)
-    return SeparableEnsemble(w / w.sum(), tuple(a_states), tuple(b_states))
 
 
 def quantumness_upper_bound(
@@ -320,7 +274,7 @@ def quantumness_upper_bound(
     # match rho_B exactly, so a feasible bound always exists; a zero bound
     # from any candidate is optimal and ends the search early.
     done = done or add_candidate(product_of_marginals())
-    done = done or refine_from(_ensemble_to_params(_decohered_ensemble(rho), terms))
+    done = done or refine_from(_ensemble_to_params(_decohere_in_marginal_eigenbases(rho)[0], terms))
     for _ in range(restarts):
         if done:
             break

@@ -116,9 +116,12 @@ def validate_density(
     """Check the density-matrix invariants and return a clean state.
 
     Eigenvalues in ``(-tol, 0)`` are clipped to zero and the matrix is
-    renormalized to unit trace; anything worse raises :class:`NotDensity`.
+    renormalized to unit trace; anything worse, or any NaN or infinite
+    entry, raises :class:`NotDensity`.
     """
     m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise NotDensity("matrix has non-finite entries")
     dims = tuple(int(d) for d in dims)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")

@@ -157,3 +157,26 @@ class TestQuantumness:
         assert main(["quantumness", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 1" in err
+
+
+class TestRejectsInvalidInput:
+    @pytest.mark.parametrize("command", ["validate", "measures"])
+    @pytest.mark.parametrize("all_nan", [False, True])
+    def test_non_finite_entries_exit_3(self, tmp_path, capsys, command, all_nan):
+        matrix = np.full((4, 4), np.nan) if all_nan else bell_state().matrix.copy()
+        matrix[0, 1] = np.nan
+        path = write_state(tmp_path / "nan.json", (2, 2), matrix)
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    def test_boolean_dims_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"dims": [True, True, True, True], "matrix": [[[1.0, 0.0]]]}))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_refine_exits_5(self, bell_file, capsys):
+        assert main(["measures", bell_file, "--refine", "-5"]) == 5
+        assert capsys.readouterr().out == ""

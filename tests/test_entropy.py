@@ -118,3 +118,10 @@ class TestUnitaryInvariance:
             u = hermitian_eig((h + h.conj().T) / 2).eigenvectors
             rotated = validate_density(u @ rho.matrix @ u.conj().T, (2, 2))
             assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) < 1e-10
+
+
+def test_relative_entropy_rejects_non_psd_reference():
+    from qcorr.errors import NegativeEigenvalue
+
+    with pytest.raises(NegativeEigenvalue):
+        relative_entropy(np.diag([1.0, 0.0]), np.diag([1.5, -0.5]))

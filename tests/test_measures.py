@@ -228,3 +228,8 @@ class TestMeasureReport:
         assert len(rep.warnings) == 2
         assert abs(rep.mutual_information - 2.0) < 1e-9
         assert abs(rep.discord - 1.0) < 1e-3
+
+
+def test_negative_refine_iterations_rejected():
+    with pytest.raises(OutOfRange):
+        OptimizerConfig(refine_iterations=-5)

@@ -155,3 +155,11 @@ class TestKet:
         k = ket(1, 1)
         assert abs(np.linalg.norm(k.amplitudes) - 1.0) < 1e-15
         assert np.allclose(k.projector(), 0.5 * np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite_entries(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(NotDensity):
+        validate_density(m, (2, 2))
