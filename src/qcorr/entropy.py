@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeEigenvalue, NotProbability
-from .linalg import SUPPORT_CUTOFF, hermitian_eig, require_hermitian, tensor_product
+from .linalg import SUPPORT_CUTOFF, hermitian_eig, require_hermitian
 from .states import DensityMatrix, _matrix_of
 
 #: Weight of rho tolerated outside supp(sigma) before reporting infinity.
@@ -109,9 +109,3 @@ def mutual_information(rho: DensityMatrix) -> float:
         - von_neumann_entropy(rho)
     )
 
-
-def product_of_marginals(rho: DensityMatrix) -> np.ndarray:
-    """rho_A (x) rho_B, the uncorrelated reference of a bipartite state."""
-    if len(rho.dims) != 2:
-        raise DimensionMismatch(f"expected a bipartite signature, got dims {rho.dims}")
-    return tensor_product(rho.marginal([0]).matrix, rho.marginal([1]).matrix)

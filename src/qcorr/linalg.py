@@ -51,13 +51,14 @@ def _as_square(m: np.ndarray) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation between ``m`` and its adjoint."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T), initial=0.0))
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal gives a NaN defect
+        return float(np.max(np.abs(m - m.conj().T), initial=0.0))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     m = _as_square(m)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # also true for the NaN defect of a non-finite entry
         raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})")
     return m
 

@@ -9,8 +9,10 @@ share a single optimizer run, which makes the identity
 
 hold by construction at the shared argmax.  The optimizer is a dense
 (theta, phi) grid over the Bloch sphere followed by Nelder-Mead local
-refinement; it is fully deterministic for a fixed configuration, with grid
-ties broken toward the lexicographically smallest angle pair.
+refinement; it is fully deterministic for a fixed configuration.  Grid ties
+go to the first angle pair in (theta, phi) order, but n and -n are the same
+measurement and both lie on the grid, so rounding decides between such twins:
+the reported direction is one of +/-n.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from scipy.optimize import minimize
 
 from .entropy import mutual_information, relative_entropy, von_neumann_entropy
 from .errors import DegenerateMarginalWarning, DimensionMismatch, OutOfRange, UnsupportedDimension
-from .linalg import bloch_states
+from .linalg import PAULIS
 from .measurement import (
     ProjectiveMeasurement,
     _decohere_in_marginal_eigenbases,
@@ -94,26 +96,28 @@ class MeasureReport:
 # with single-element arrays so that both stages evaluate identical algebra).
 # ---------------------------------------------------------------------------
 
-def _bloch_pair_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Projector pairs along (theta, phi); shape (N, 2, 2, 2) = (point, outcome, row, col)."""
-    st = np.sin(theta)
-    up = bloch_states(np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1))
-    return np.stack([up, np.eye(2, dtype=complex) - up], axis=1)
+#: Row (mu, nu) is sigma_mu (x) sigma_nu flattened, with sigma_0 = I, so that
+#: _PAULI_PAIRS @ rho.T.ravel() lists the Fano coordinates Tr[(sigma_mu (x) sigma_nu) rho].
+_SIGMA = (np.eye(2), *PAULIS)
+_PAULI_PAIRS = np.array([np.kron(a, b).ravel() for a in _SIGMA for b in _SIGMA])
 
 
-def _branches(rho4: np.ndarray, projectors: np.ndarray):
-    """Post-measurement branches (P (x) I) rho (P (x) I) for a projector batch.
+def _bloch_statistics(rho4: np.ndarray, theta: np.ndarray, phi: np.ndarray):
+    """Outcome probabilities and B-branch eigenvalues for measuring A along +/-n(theta, phi).
 
-    Returns (probabilities, B-side reduced branches), shapes (..., ) and
-    (..., 2, 2); branches are unnormalized so the zero-probability limit
-    stays finite throughout.
+    Row k of the Fano matrix T holds the Bloch coordinates, trace first, of
+    rho_B (k = 0) and of R_k = Tr_A[(sigma_k (x) I) rho].  The B branch of
+    outcome +/-n, (rho_B +/- n.R) / 2, has coordinates m = (T_0 +/- n.T) / 2:
+    trace m_0 and eigenvalues (m_0 -/+ |m_1..3|) / 2.  This is the closed form
+    (tr +/- sqrt((a - d)^2 + 4|b|^2)) / 2, which needs no clipping and stays
+    accurate at degeneracy.  Shapes: (N, 2) and (N, 2, 2), point x outcome [x eigenvalue].
     """
-    eye = np.eye(2, dtype=complex)
-    e = np.einsum("...ij,kl->...ikjl", projectors, eye).reshape(projectors.shape[:-2] + (4, 4))
-    branch = np.einsum("...ab,bc,...cd->...ad", e, rho4, e)
-    probs = np.einsum("...aa->...", branch).real
-    sigma_b = np.einsum("...abad->...bd", branch.reshape(branch.shape[:-2] + (2, 2, 2, 2)))
-    return probs, sigma_b
+    fano = (_PAULI_PAIRS @ rho4.T.ravel()).real.reshape(4, 4)
+    st = np.sin(theta)
+    n = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    m = 0.5 * (fano[0] + np.array([1.0, -1.0])[:, None] * (n @ fano[1:])[..., None, :])
+    probs, radius = m[..., 0], np.sqrt(np.sum(m[..., 1:] ** 2, axis=-1))
+    return probs, 0.5 * np.stack([probs - radius, probs + radius], axis=-1)
 
 
 def _xlog2x(x: np.ndarray) -> np.ndarray:
@@ -123,9 +127,7 @@ def _xlog2x(x: np.ndarray) -> np.ndarray:
 
 def _measured_mi_batch(rho4: np.ndarray, s_b: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Measured mutual information S(rho_B) - sum_a p_a S(rho_B|a) on an angle batch."""
-    pairs = _bloch_pair_batch(theta, phi)
-    probs, sigma_b = _branches(rho4, pairs)
-    lam = np.linalg.eigvalsh(sigma_b)
+    probs, lam = _bloch_statistics(rho4, theta, phi)
     # p * S(sigma/p) = -sum lam log lam + p log p, finite as p -> 0.
     weighted = -_xlog2x(lam).sum(axis=-1) + _xlog2x(probs)
     return s_b - weighted.sum(axis=-1)
@@ -137,16 +139,15 @@ def _pinched_entropy_batch(rho4: np.ndarray, theta: np.ndarray, phi: np.ndarray)
     For rank-1 P_a the pinched state is sum_a P_a (x) sigma_a with sigma_a
     the unnormalized B branch, so its spectrum joins the branch spectra.
     """
-    _, sigma_b = _branches(rho4, _bloch_pair_batch(theta, phi))
-    return -_xlog2x(np.linalg.eigvalsh(sigma_b)).sum(axis=(-2, -1))
+    return -_xlog2x(_bloch_statistics(rho4, theta, phi)[1]).sum(axis=(-2, -1))
 
 
 def _optimize_angles(objective, cfg: OptimizerConfig, maximize: bool) -> OptimizationResult:
     """Grid scan plus Nelder-Mead refinement of a smooth angle objective.
 
     ``objective`` maps equal-shape (theta, phi) arrays to values.  The grid
-    winner is the first (lexicographically smallest) angle pair attaining
-    the optimum; refinement is kept only when it strictly improves.
+    winner is the first angle pair in (theta, phi) order whose computed
+    value is optimal; refinement is kept only when it strictly improves.
     """
     thetas = np.linspace(0.0, math.pi, cfg.grid_resolution)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * cfg.grid_resolution, endpoint=False)

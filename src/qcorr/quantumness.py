@@ -252,11 +252,6 @@ def quantumness_upper_bound(
         candidates.append((bound, residual, ensemble))
         return bound < 1e-12 and residual < FEASIBILITY_TOL
 
-    def product_of_marginals() -> SeparableEnsemble:
-        return SeparableEnsemble(
-            np.array([1.0]), (rho.marginal([0]).matrix,), (rho_b,)
-        )
-
     def refine_from(x0: np.ndarray) -> bool:
         x = _refine_witness(rho4, s_rho, rho_b, x0, terms)
         sigma, w, a_states, b_states = _params_to_sigma(x, terms)
@@ -273,7 +268,9 @@ def quantumness_upper_bound(
     # The product of marginals and the decohered-diagonal ensemble both
     # match rho_B exactly, so a feasible bound always exists; a zero bound
     # from any candidate is optimal and ends the search early.
-    done = done or add_candidate(product_of_marginals())
+    done = done or add_candidate(
+        SeparableEnsemble(np.array([1.0]), (rho.marginal([0]).matrix,), (rho_b,))
+    )
     done = done or refine_from(_ensemble_to_params(_decohere_in_marginal_eigenbases(rho)[0], terms))
     for _ in range(restarts):
         if done:

@@ -196,7 +196,8 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
 
     ``projectors`` is a :class:`~qcorr.measurement.ProjectiveMeasurement` on
     the A factor (or any sequence of its projector matrices), ``states`` the
-    matching B-side density matrices.  Zero-weight terms are skipped.  The
+    matching B-side density matrices.  The term traces ``q_a Tr P_a`` must
+    be non-negative and sum to one.  Zero-weight terms are skipped.  The
     built state carries its own ensemble as a separability witness.
     """
     proj_list = [np.asarray(pi, dtype=complex) for pi in getattr(projectors, "projectors", projectors)]
@@ -206,18 +207,19 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
         raise DimensionMismatch(
             f"got {w.size} weights, {len(proj_list)} projectors, {len(state_list)} states"
         )
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-10:
-        raise NotProbability(f"weights sum to {w.sum()}")
+    ranks = np.array([pi.trace().real for pi in proj_list])
+    traces = w * ranks
+    if np.any(traces < -1e-12) or abs(traces.sum() - 1.0) > 1e-10:
+        raise NotProbability(f"term traces q_a Tr P_a sum to {traces.sum()}")
 
     d_a = proj_list[0].shape[0]
     d_b = state_list[0].shape[0]
     matrix = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
     weights_out, a_out, b_out = [], [], []
-    for q, pi, tau in zip(w, proj_list, state_list):
+    for q, rank, pi, tau in zip(w, ranks, proj_list, state_list):
         if q <= 1e-12:
             continue
         matrix += q * tensor_product(pi, tau)
-        rank = pi.trace().real
         weights_out.append(q * rank)
         a_out.append(pi / rank)
         b_out.append(tau)

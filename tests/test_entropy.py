@@ -14,9 +14,8 @@ from qcorr import (
     validate_density,
     von_neumann_entropy,
 )
-from qcorr.entropy import product_of_marginals
 from qcorr.errors import DimensionMismatch, NotProbability
-from qcorr.linalg import hermitian_eig
+from qcorr.linalg import hermitian_eig, tensor_product
 
 from conftest import product_state
 from oracles import entropy_bits
@@ -105,7 +104,8 @@ class TestMutualInformation:
         for seed in range(100):
             rho = random_density((2, 2), seed)
             via_entropy = mutual_information(rho)
-            via_divergence = relative_entropy(rho.matrix, product_of_marginals(rho))
+            marginals = tensor_product(rho.marginal([0]).matrix, rho.marginal([1]).matrix)
+            via_divergence = relative_entropy(rho.matrix, marginals)
             assert abs(via_entropy - via_divergence) < 1e-9
 
 
@@ -118,6 +118,19 @@ class TestUnitaryInvariance:
             u = hermitian_eig((h + h.conj().T) / 2).eigenvectors
             rotated = validate_density(u @ rho.matrix @ u.conj().T, (2, 2))
             assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_entropies_reject_non_finite_matrices(bad):
+    from qcorr.errors import NotHermitian
+
+    m = np.array([[bad, 0], [0, 1]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        von_neumann_entropy(m)
+    with pytest.raises(NotHermitian):
+        relative_entropy(np.eye(2) / 2, m)
+    with pytest.raises(NotHermitian):
+        relative_entropy(m, np.eye(2) / 2)
 
 
 def test_relative_entropy_rejects_non_psd_reference():

@@ -64,6 +64,11 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotHermitian):
+            hermitian_eig(np.array([[bad, 0], [0, 1]], dtype=complex))
+
     @pytest.mark.parametrize("dim", [2, 3, 4, 6, 8])
     def test_reconstruction_and_unitarity(self, dim):
         for seed in range(5):

@@ -214,6 +214,13 @@ class TestClassify:
     def test_identity_map_is_cp(self):
         assert classify(realign_a_to_b(AMap(2, np.eye(4, dtype=complex)))).verdict == "CP"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_tensor(self, bad):
+        from qcorr.errors import NotHermitian
+
+        with pytest.raises(NotHermitian):
+            classify(BMap(2, np.diag([bad, 1.0, 1.0, 1.0])))
+
 
 class TestBuildMeasurementMaps:
     def setup_method(self):

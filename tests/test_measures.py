@@ -16,6 +16,7 @@ from qcorr import (
     quantum_deficit,
     quantum_discord,
     random_density,
+    validate_density,
     von_neumann_entropy,
 )
 from qcorr.errors import DegenerateMarginalWarning, OutOfRange, UnsupportedDimension
@@ -168,29 +169,48 @@ class TestDiscordDecomposition:
             assert abs(result.direct - result.via_relative_entropies) < 1e-9
 
 
+def kernel_cases(seed_base, rng_seed):
+    """States and angle batches on which the batch kernels must match the generic route.
+
+    Five random states plus |00> (measured along z, one outcome has zero
+    probability), I/4 and Bell (degenerate branches).  Each gets the poles,
+    phi just below 2 pi, and 64 random angles.
+    """
+    rng = np.random.default_rng(rng_seed)
+    states = [random_density((2, 2), seed_base + seed) for seed in range(5)]
+    states += [
+        validate_density(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2)),
+        validate_density(np.eye(4) / 4, (2, 2)),
+        bell_state(),
+    ]
+    below_2pi = np.nextafter(2 * np.pi, 0.0)
+    edge_theta = [0.0, np.pi, 0.0, np.pi, 0.5 * np.pi, 1.0]
+    edge_phi = [0.0, 0.0, below_2pi, below_2pi, below_2pi, 2 * np.pi - 1e-9]
+    for rho in states:
+        theta = np.concatenate([edge_theta, rng.uniform(0, np.pi, 64)])
+        phi = np.concatenate([edge_phi, rng.uniform(0, 2 * np.pi, 64)])
+        yield rho, theta, phi
+
+
 class TestBatchKernels:
     def test_batch_mi_matches_generic_route(self):
         from qcorr.measures import _measured_mi_batch
 
-        rng = np.random.default_rng(14)
-        for seed in range(5):
-            rho = random_density((2, 2), seed + 600)
+        for rho, thetas, phis in kernel_cases(600, 14):
             s_b = von_neumann_entropy(rho.marginal([1]))
-            theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            batch = _measured_mi_batch(rho.matrix, s_b, np.array([theta]), np.array([phi]))[0]
-            generic = measured_mutual_information(rho, bloch_projectors(theta, phi))
-            assert abs(batch - generic) < 1e-12
+            batch = _measured_mi_batch(rho.matrix, s_b, thetas, phis)
+            for value, theta, phi in zip(batch, thetas, phis):
+                generic = measured_mutual_information(rho, bloch_projectors(theta, phi))
+                assert abs(value - generic) < 1e-12
 
     def test_batch_pinched_entropy_matches_generic_route(self):
         from qcorr.measures import _pinched_entropy_batch
 
-        rng = np.random.default_rng(15)
-        for seed in range(5):
-            rho = random_density((2, 2), seed + 700)
-            theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            batch = _pinched_entropy_batch(rho.matrix, np.array([theta]), np.array([phi]))[0]
-            generic = von_neumann_entropy(pinch(rho, bloch_projectors(theta, phi)))
-            assert abs(batch - generic) < 1e-12
+        for rho, thetas, phis in kernel_cases(700, 15):
+            batch = _pinched_entropy_batch(rho.matrix, thetas, phis)
+            for value, theta, phi in zip(batch, thetas, phis):
+                generic = von_neumann_entropy(pinch(rho, bloch_projectors(theta, phi)))
+                assert abs(value - generic) < 1e-12
 
 
 class TestOptimizerBehaviour:

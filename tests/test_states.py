@@ -118,6 +118,17 @@ class TestClassicalCorrelated:
         with pytest.raises(NotProbability):
             classical_correlated([0.6, 0.6], z_basis, [np.eye(2) / 2, np.eye(2) / 2])
 
+    def test_rank_two_projectors_weigh_by_trace(self):
+        # Two rank-2 projectors on a 4-dim A: the term traces 2 q_a must sum to 1.
+        halves = [np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])]
+        taus = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        state = classical_correlated([0.2, 0.3], halves, taus)
+        assert abs(state.matrix.trace().real - 1.0) < 1e-12
+        assert np.allclose(state.witness.weights, [0.4, 0.6])
+        assert np.linalg.norm(state.witness.assemble() - state.matrix) < 1e-12
+        with pytest.raises(NotProbability):
+            classical_correlated([0.4, 0.6], halves, taus)
+
     def test_count_mismatch(self):
         z_basis = bloch_projectors(0.0, 0.0)
         with pytest.raises(DimensionMismatch):
