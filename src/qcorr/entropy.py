@@ -70,27 +70,34 @@ def relative_entropy(rho, sigma, support_tol: float = SUPPORT_LEAK_TOL) -> float
 
 def _relative_entropy_kernel(
     r: np.ndarray, s_r: float, s: np.ndarray, support_tol: float = SUPPORT_LEAK_TOL
-) -> float:
+):
     """S(r || s) given S(r), with one eigendecomposition of ``s`` and no input checks.
 
-    Returns ``math.inf`` when ``r`` has more than ``support_tol`` weight
-    outside the support of ``s``; raises :class:`NegativeEigenvalue` when
-    ``s`` is not PSD.
+    ``s`` is one matrix or a stack of them along leading axes; one batched
+    ``eigh`` serves the whole stack.  Returns a float for one matrix and an
+    array of the stack's shape otherwise.  Each entry is ``math.inf`` when
+    ``r`` has more than ``support_tol`` weight outside the support of its
+    ``s``; :class:`NegativeEigenvalue` is raised when any ``s`` that does
+    not leak is not PSD.
     """
-    vals, vecs = np.linalg.eigh((s + s.conj().T) / 2)
+    vals, vecs = np.linalg.eigh((s + np.swapaxes(s.conj(), -1, -2)) / 2)
     kernel = vals <= SUPPORT_CUTOFF
+    leaking = False
     if np.any(kernel):
-        v_ker = vecs[:, kernel]
-        leak = float(np.real(np.einsum("ij,jk,ki->", v_ker.conj().T, r, v_ker)))
-        if leak > support_tol:
-            return math.inf
-        if vals[0] < -SUPPORT_CUTOFF:
+        # <v|r|v> for each eigenvector v of s: the weight of r along v.
+        along = np.einsum("...ji,jk,...ki->...i", vecs.conj(), r, vecs).real
+        leaking = np.sum(along, axis=-1, where=kernel) > support_tol
+        negative = ~leaking & (vals[..., 0] < -SUPPORT_CUTOFF)
+        if np.any(negative):
             raise NegativeEigenvalue(
-                f"eigenvalue {vals[0]:.3e} below -{SUPPORT_CUTOFF:.1e}; matrix is not PSD"
+                f"eigenvalue {vals[..., 0][negative].min():.3e} below -{SUPPORT_CUTOFF:.1e}; "
+                "matrix is not PSD"
             )
-    logs = np.where(~kernel, np.log2(np.maximum(vals, SUPPORT_CUTOFF)), 0.0)
-    log_s = (vecs * logs) @ vecs.conj().T
-    return max(0.0, -s_r - float(np.real(np.trace(r @ log_s))))
+    logs = np.where(kernel, 0.0, np.log2(np.maximum(vals, SUPPORT_CUTOFF)))
+    log_s = (vecs * logs[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    cross = np.trace(r @ log_s, axis1=-2, axis2=-1).real
+    out = np.where(leaking, math.inf, np.maximum(0.0, -s_r - cross))
+    return float(out) if out.ndim == 0 else out
 
 
 def mutual_information(rho: DensityMatrix) -> float:

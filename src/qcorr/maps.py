@@ -35,7 +35,6 @@ from .linalg import (
     hermitian_eig,
     partial_trace,
     realign,
-    require_hermitian,
     tensor_product,
 )
 from .measurement import ProjectiveMeasurement
@@ -183,7 +182,6 @@ def spectral_decompose(b: BMap, tol: float = MAP_TOL) -> KrausDecomposition:
 
     The map action is recovered as rho -> sum_a w_a M_a rho M_a^dag.
     """
-    require_hermitian(b.tensor, tol)
     eig = hermitian_eig(b.tensor, tol)
     ops = tuple(eig.eigenvectors[:, j].reshape(b.d, b.d) for j in range(b.d**2))
     return KrausDecomposition(weights=eig.eigenvalues, operators=ops)
@@ -196,7 +194,6 @@ def apply_kraus(k: KrausDecomposition, rho: np.ndarray) -> np.ndarray:
 
 def classify(b: BMap, tol: float = MAP_TOL) -> MapClass:
     """CP iff the B spectrum is nonnegative (within ``tol``)."""
-    require_hermitian(b.tensor, tol)
     min_eig = float(hermitian_eig(b.tensor, tol).eigenvalues[0])
     return MapClass(verdict="CP" if min_eig >= -tol else "NCP", min_eigenvalue=min_eig)
 

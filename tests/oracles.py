@@ -6,6 +6,8 @@ eigenvalue formula) so that it shares no code path with the package's
 generic measurement machinery.
 """
 
+import math
+
 import numpy as np
 
 PAULIS = (
@@ -80,3 +82,87 @@ def dense_grid_measures(rho4, n_theta=721, n_phi=1441, chunk=120000):
         best = max(best, float(np.max(s_b - avg)))
 
     return mutual - best, best, mutual
+
+
+# ---------------------------------------------------------------------------
+# One-trial-at-a-time witness refinement: the coordinate descent of
+# ``qcorr.quantumness._refine_witness`` as it read before its trial moves
+# were batched, on raw numpy (parametrization, divergence and B marginal
+# included), so the batched search can be pinned to the same path.
+# ---------------------------------------------------------------------------
+
+SUPPORT_CUTOFF = 1e-10
+SUPPORT_LEAK_TOL = 1e-8
+
+
+def _bloch_batch_to_states(r):
+    norms = np.linalg.norm(r, axis=1)
+    scale = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
+    r = r * scale[:, None]
+    return 0.5 * (np.eye(2, dtype=complex) + np.einsum("...i,iab->...ab", r, np.stack(PAULIS)))
+
+
+def _params_to_sigma(x, k):
+    w2 = x[:k] ** 2
+    total = w2.sum()
+    weights = np.full(k, 1.0 / k) if total <= 0.0 else w2 / total
+    a_states = _bloch_batch_to_states(x[k : 4 * k].reshape(k, 3))
+    b_states = _bloch_batch_to_states(x[4 * k :].reshape(k, 3))
+    products = np.einsum("kab,kcd->kacbd", a_states, b_states).reshape(k, 4, 4)
+    sigma = np.einsum("k,kab->ab", weights, products)
+    return sigma, weights, a_states, b_states
+
+
+def _relative_entropy_kernel(r, s_r, s, support_tol=SUPPORT_LEAK_TOL):
+    vals, vecs = np.linalg.eigh((s + s.conj().T) / 2)
+    kernel = vals <= SUPPORT_CUTOFF
+    if np.any(kernel):
+        v_ker = vecs[:, kernel]
+        leak = float(np.real(np.einsum("ij,jk,ki->", v_ker.conj().T, r, v_ker)))
+        if leak > support_tol:
+            return math.inf
+        if vals[0] < -SUPPORT_CUTOFF:
+            raise ValueError(f"eigenvalue {vals[0]:.3e}; matrix is not PSD")
+    logs = np.where(~kernel, np.log2(np.maximum(vals, SUPPORT_CUTOFF)), 0.0)
+    log_s = (vecs * logs) @ vecs.conj().T
+    return max(0.0, -s_r - float(np.real(np.trace(r @ log_s))))
+
+
+def _marginal_b(sigma):
+    return sigma.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+
+
+def sequential_refine_witness(rho4, s_rho, rho_b, x0, k, outer_iterations=4, mu0=10.0, max_sweeps=30):
+    """Deterministic coordinate descent under a ramped marginal penalty."""
+    x = np.array(x0, dtype=float)
+
+    def objective(xv, mu):
+        sigma, _, _, _ = _params_to_sigma(xv, k)
+        div = _relative_entropy_kernel(rho4, s_rho, sigma)
+        if math.isinf(div):
+            return math.inf
+        gap = _marginal_b(sigma) - rho_b
+        return div + mu * float(np.sum(np.abs(gap) ** 2))
+
+    for outer in range(outer_iterations):
+        mu = mu0 * 10.0**outer
+        current = objective(x, mu)
+        step = 0.25
+        sweeps = 0
+        while step > 1e-4 and sweeps < max_sweeps:
+            sweeps += 1
+            if current < 1e-12:
+                return x
+            improved = False
+            for j in range(x.size):
+                for delta in (step, -step):
+                    trial = x.copy()
+                    trial[j] += delta
+                    value = objective(trial, mu)
+                    if value < current - 1e-12:
+                        x, current = trial, value
+                        improved = True
+                        break
+            if not improved:
+                step *= 0.5
+    return x

@@ -138,3 +138,44 @@ def test_relative_entropy_rejects_non_psd_reference():
 
     with pytest.raises(NegativeEigenvalue):
         relative_entropy(np.diag([1.0, 0.0]), np.diag([1.5, -0.5]))
+
+
+class TestBatchedRelativeEntropyKernel:
+    """``_relative_entropy_kernel`` on a stack of references, row by row."""
+
+    # r has no weight on |11>, so a reference whose negative eigenvector is
+    # |11> does not leak and must be reported as not PSD.
+    R = np.diag([0.4, 0.3, 0.3, 0.0]).astype(complex)
+
+    def _kernel(self, sigmas):
+        from qcorr.entropy import _relative_entropy_kernel
+
+        return _relative_entropy_kernel(self.R, von_neumann_entropy(self.R), sigmas)
+
+    def test_rows_match_relative_entropy(self):
+        full_rank = [random_density((2, 2), 300 + i).matrix for i in range(6)]
+        rank_deficient = np.diag([0.0, 0.5, 0.3, 0.2]).astype(complex)  # r leaks along |00>
+        leaking_non_psd = np.diag([-0.01, 0.5, 0.3, 0.21]).astype(complex)
+        sigmas = np.stack(full_rank + [rank_deficient, leaking_non_psd])
+        batch = self._kernel(sigmas)
+        assert batch.shape == (len(sigmas),)
+        for row, sigma in zip(batch[:6], full_rank):
+            assert abs(row - relative_entropy(self.R, sigma)) <= 1e-12
+        assert math.isinf(batch[6]) and math.isinf(relative_entropy(self.R, rank_deficient))
+        assert math.isinf(batch[7]) and math.isinf(relative_entropy(self.R, leaking_non_psd))
+
+    def test_single_reference_gives_a_float(self):
+        sigma = random_density((2, 2), 310).matrix
+        value = self._kernel(sigma)
+        assert isinstance(value, float)
+        assert value == relative_entropy(self.R, sigma)
+
+    def test_non_psd_row_raises(self):
+        from qcorr.errors import NegativeEigenvalue
+
+        non_psd = np.diag([0.5, 0.3, 0.21, -0.01]).astype(complex)
+        sigmas = np.stack([random_density((2, 2), 320).matrix, non_psd])
+        with pytest.raises(NegativeEigenvalue):
+            self._kernel(sigmas)
+        with pytest.raises(NegativeEigenvalue):
+            relative_entropy(self.R, non_psd)

@@ -13,6 +13,7 @@ from qcorr import (
     separable_decomposition,
     validate_density,
     verify_example_insensitivity,
+    von_neumann_entropy,
 )
 from qcorr.errors import DimensionMismatch, NotRankOne, OutOfRange, UnsupportedDimension
 from qcorr.measurement import ProjectiveMeasurement
@@ -127,3 +128,91 @@ class TestQuantumnessUpperBound:
             quantumness_upper_bound(random_density((2, 4), 0))
         with pytest.raises(OutOfRange):
             quantumness_upper_bound(bell_state(), terms=3)
+
+
+def _two_qubit_pure(angle):
+    """cos(angle)|00> + sin(angle)|11>."""
+    psi = np.array([np.cos(angle), 0.0, 0.0, np.sin(angle)], dtype=complex)
+    return validate_density(np.outer(psi, psi.conj()), (2, 2))
+
+
+PATH_STATES = {
+    "bell": bell_state,
+    "pure": lambda: _two_qubit_pure(0.3),
+    "separable-no-witness": lambda: validate_density(example_separable(0.4).matrix, (2, 2)),
+    "wishart-21": lambda: random_density((2, 2), 21),
+    "wishart-22": lambda: random_density((2, 2), 22),
+}
+
+
+class TestBatchedRefinement:
+    """The batched first-improvement sweep takes the one-trial-at-a-time path."""
+
+    @pytest.mark.parametrize("start", ["decohered", "random"])
+    @pytest.mark.parametrize("name", sorted(PATH_STATES))
+    def test_same_path_as_sequential_descent(self, name, start):
+        from oracles import sequential_refine_witness
+        from qcorr.measurement import _decohere_in_marginal_eigenbases
+        from qcorr.quantumness import _ensemble_to_params, _refine_witness
+
+        rho = PATH_STATES[name]()
+        k = 8
+        if start == "decohered":
+            x0 = _ensemble_to_params(_decohere_in_marginal_eigenbases(rho)[0], k)
+        else:
+            rng = np.random.default_rng(4)
+            x0 = np.concatenate([rng.uniform(0.2, 1.0, k), rng.uniform(-1.0, 1.0, 6 * k)])
+        args = (rho.matrix, von_neumann_entropy(rho), rho.marginal([1]).matrix, x0, k)
+        budget = dict(outer_iterations=2, max_sweeps=4)
+        batched = _refine_witness(*args, **budget)
+        assert np.array_equal(batched, sequential_refine_witness(*args, **budget))
+        if start == "random":  # the decohered Bell and pure starts take no move at this budget
+            assert not np.array_equal(batched, x0)
+
+    def test_trial_states_match_a_full_rebuild(self):
+        from oracles import _params_to_sigma
+        from qcorr.quantumness import _params_to_terms, _trial_sigmas
+
+        k = 4
+        rng = np.random.default_rng(9)
+        # Term 0 carries all the weight, so its -0.25 move zeroes every weight
+        # (the uniform mixture); Bloch components up to 0.7 put many vectors
+        # outside the unit ball, so the clipping is exercised too.
+        x = np.concatenate([[0.25, 0.0, 0.0, 0.0], rng.uniform(-0.7, 0.7, 6 * k)])
+        coords = np.repeat(np.arange(x.size), 2)
+        deltas = np.tile([0.25, -0.25], x.size)
+        _, _, _, products = _params_to_terms(x, k)
+        sigmas = _trial_sigmas(x, k, products, coords, deltas)
+        for sigma, j, delta in zip(sigmas, coords, deltas):
+            trial = x.copy()
+            trial[j] += delta
+            assert np.max(np.abs(sigma - _params_to_sigma(trial, k)[0])) < 1e-14
+        uniform = np.mean(products, axis=0)
+        assert np.max(np.abs(sigmas[1] - uniform)) < 1e-15
+
+
+class TestCertifiedLowerBound:
+    """The upper bound never undercuts the certified lower bounds."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known shortfall of 9e-9 to 4e-8 bits: the refined witness is rank 2 and rho "
+        "puts up to 7e-9 of its weight in the witness's kernel, below SUPPORT_LEAK_TOL = 1e-8, "
+        "so the divergence kernel drops that weight instead of reporting infinity",
+    )
+    @pytest.mark.parametrize("angle", [0.15, 0.45, np.pi / 4])
+    def test_pure_states_at_least_entanglement_entropy(self, angle):
+        rho = _two_qubit_pure(angle)
+        estimate = quantumness_upper_bound(rho, restarts=0)
+        assert estimate.upper_bound >= von_neumann_entropy(rho.marginal([0])) - 1e-9
+
+    @pytest.mark.parametrize("seed", [41, 42, 43, 44])
+    def test_at_least_coherent_information(self, seed):
+        rho = random_density((2, 2), seed)
+        s_ab = von_neumann_entropy(rho)
+        lower = max(
+            0.0,
+            von_neumann_entropy(rho.marginal([0])) - s_ab,
+            von_neumann_entropy(rho.marginal([1])) - s_ab,
+        )
+        assert quantumness_upper_bound(rho, restarts=0).upper_bound >= lower - 1e-9
