@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas = sub.add_parser("measures", help="all correlation measures of a two-qubit state")
     p_meas.add_argument("path")
     p_meas.add_argument("--grid", type=int, default=64, help="theta samples per angle")
-    p_meas.add_argument("--refine", type=int, default=200, help="local refinement iterations")
+    p_meas.add_argument("--refine", type=int, default=200, help="zoom refinement rounds (0: grid only)")
     p_meas.add_argument("--tol", type=float, default=1e-6, help="optimizer tolerance")
     p_meas.add_argument("--json", action="store_true")
     p_meas.set_defaults(func=cmd_measures)

@@ -44,6 +44,12 @@ from .states import (
 )
 
 FEASIBILITY_TOL = 1e-4
+#: A projector counts as rank-1 when its trace is within this of 1.
+_RANK_ONE_TRACE_TOL = 1e-10
+
+
+def _is_rank_one(projector: np.ndarray) -> bool:
+    return abs(projector.trace().real - 1.0) <= _RANK_ONE_TRACE_TOL
 
 
 def residual_state(rho_ext: DensityMatrix, m: ProjectiveMeasurement) -> DensityMatrix:
@@ -66,7 +72,7 @@ def residual_state(rho_ext: DensityMatrix, m: ProjectiveMeasurement) -> DensityM
     keep = list(range(1, len(rho_ext.dims)))
     reduced = partial_trace(sum(branches), rho_ext.dims, keep)
     witness = None
-    if all(abs(pi.trace().real - 1.0) <= 1e-10 for pi in m.projectors):
+    if all(_is_rank_one(pi) for pi in m.projectors):
         kept = [i for i, c in enumerate(conditionals) if c is not None]
         witness = SeparableEnsemble(
             probs[kept],
@@ -84,7 +90,7 @@ def separable_decomposition(rho_ext: DensityMatrix, m: ProjectiveMeasurement) ->
     outcomes are dropped.
     """
     for i, pi in enumerate(m.projectors):
-        if abs(pi.trace().real - 1.0) > 1e-10:
+        if not _is_rank_one(pi):
             raise NotRankOne(f"projector {i} has trace {pi.trace().real:.6f}, expected 1")
     return residual_state(rho_ext, m).witness
 

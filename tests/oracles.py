@@ -85,6 +85,43 @@ def dense_grid_measures(rho4, n_theta=721, n_phi=1441, chunk=120000):
 
 
 # ---------------------------------------------------------------------------
+# Bell-diagonal states rho = (I + sum_i c_i sigma_i (x) sigma_i) / 4, whose
+# classical correlation, discord and one-way deficit are closed-form in
+# c = max |c_i| (Luo, PRA 77, 042303 (2008)).
+# ---------------------------------------------------------------------------
+
+#: Vertices of the tetrahedron of valid c: the four Bell states.
+BELL_TETRAHEDRON = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
+
+
+def bell_diagonal_state(c):
+    """The 4x4 matrix (I + sum_i c_i sigma_i (x) sigma_i) / 4."""
+    return (np.eye(4) + sum(ci * np.kron(p, p) for ci, p in zip(c, PAULIS))) / 4.0
+
+
+def binary_entropy(p):
+    return float(-xlog2(p) - xlog2(1.0 - p))
+
+
+def bell_diagonal_measures(c):
+    """Closed-form (mutual information, classical correlation, discord, one-way deficit).
+
+    The marginals are I/2 and the spectrum is (1 - c1 - c2 - c3)/4 and its
+    three sign flips, so I = 2 - S(rho).  Measuring A along the axis of the
+    largest |c_i| leaves B branches of spectrum (1 +/- c)/2, which gives
+    C_A = 1 - h((1 + c)/2), discord = I - C_A and one-way deficit
+    1 + h((1 + c)/2) - S(rho).
+    """
+    c1, c2, c3 = c
+    spectrum = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3]) / 4.0
+    s_rho = float(-xlog2(spectrum).sum())
+    h = binary_entropy((1.0 + np.max(np.abs(c))) / 2.0)
+    mutual = 2.0 - s_rho
+    classical = 1.0 - h
+    return mutual, classical, mutual - classical, 1.0 + h - s_rho
+
+
+# ---------------------------------------------------------------------------
 # One-trial-at-a-time witness refinement: the coordinate descent of
 # ``qcorr.quantumness._refine_witness`` as it read before its trial moves
 # were batched, on raw numpy (parametrization, divergence and B marginal

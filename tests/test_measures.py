@@ -21,10 +21,19 @@ from qcorr import (
 )
 from qcorr.errors import DegenerateMarginalWarning, OutOfRange, UnsupportedDimension
 from qcorr.linalg import tensor_product
+from qcorr import measures
 from qcorr.measures import maximize_measured_mi
 
 from conftest import classical_state, product_state
-from oracles import dense_grid_measures, entropy_bits, xlog2
+from oracles import (
+    BELL_TETRAHEDRON,
+    PAULIS,
+    bell_diagonal_measures,
+    bell_diagonal_state,
+    dense_grid_measures,
+    entropy_bits,
+    xlog2,
+)
 
 FAST = OptimizerConfig(grid_resolution=32, refine_iterations=200)
 
@@ -194,20 +203,20 @@ def kernel_cases(seed_base, rng_seed):
 
 class TestBatchKernels:
     def test_batch_mi_matches_generic_route(self):
-        from qcorr.measures import _measured_mi_batch
+        from qcorr.measures import _fano_matrix, _measured_mi_batch
 
         for rho, thetas, phis in kernel_cases(600, 14):
             s_b = von_neumann_entropy(rho.marginal([1]))
-            batch = _measured_mi_batch(rho.matrix, s_b, thetas, phis)
+            batch = _measured_mi_batch(_fano_matrix(rho.matrix), s_b, thetas, phis)
             for value, theta, phi in zip(batch, thetas, phis):
                 generic = measured_mutual_information(rho, bloch_projectors(theta, phi))
                 assert abs(value - generic) < 1e-12
 
     def test_batch_pinched_entropy_matches_generic_route(self):
-        from qcorr.measures import _pinched_entropy_batch
+        from qcorr.measures import _fano_matrix, _pinched_entropy_batch
 
         for rho, thetas, phis in kernel_cases(700, 15):
-            batch = _pinched_entropy_batch(rho.matrix, thetas, phis)
+            batch = _pinched_entropy_batch(_fano_matrix(rho.matrix), thetas, phis)
             for value, theta, phi in zip(batch, thetas, phis):
                 generic = von_neumann_entropy(pinch(rho, bloch_projectors(theta, phi)))
                 assert abs(value - generic) < 1e-12
@@ -253,3 +262,91 @@ class TestMeasureReport:
 def test_negative_refine_iterations_rejected():
     with pytest.raises(OutOfRange):
         OptimizerConfig(refine_iterations=-5)
+
+
+def _qubit_unitary(rng):
+    """q0 I - i q.sigma for a random unit quaternion q."""
+    q = rng.standard_normal(4)
+    q /= np.linalg.norm(q)
+    return q[0] * np.eye(2) - 1j * sum(qk * p for qk, p in zip(q[1:], PAULIS))
+
+
+class TestBellDiagonalOracle:
+    """measure_report against the closed forms for Bell-diagonal states."""
+
+    @staticmethod
+    def _check(matrix, c):
+        rep = measure_report(validate_density(matrix, (2, 2)))
+        mutual, classical, discord, deficit = bell_diagonal_measures(c)
+        assert abs(rep.mutual_information - mutual) < 1e-9
+        assert abs(rep.classical_correlation - classical) < 1e-9
+        assert abs(rep.discord - discord) < 1e-9
+        assert abs(rep.oneway_deficit - deficit) < 1e-9
+
+    def test_random_points_inside_the_tetrahedron(self):
+        rng = np.random.default_rng(2008)
+        for _ in range(30):
+            c = rng.dirichlet(np.ones(4)) @ BELL_TETRAHEDRON
+            self._check(bell_diagonal_state(c), c)
+
+    def test_local_unitaries_move_the_optimum_off_the_grid(self):
+        # U_A (x) U_B leaves every measure unchanged but turns the optimal
+        # axis away from x, y and z, so the zoom has to find it
+        rng = np.random.default_rng(77)
+        for _ in range(10):
+            c = rng.dirichlet(np.ones(4)) @ BELL_TETRAHEDRON
+            u = np.kron(_qubit_unitary(rng), _qubit_unitary(rng))
+            self._check(u @ bell_diagonal_state(c) @ u.conj().T, c)
+
+    @pytest.mark.parametrize("tilt", [0.45, -0.45])
+    @pytest.mark.parametrize("azimuth", [0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+    def test_optimum_next_to_a_pole(self, tilt, azimuth):
+        # Tilt the optimal axis z of A by 0.45 grid steps toward the given
+        # azimuth (a fraction of pi); a negative tilt puts -n* there, so the
+        # optimum also sits next to -z.  The pole is then the grid winner,
+        # and the zoom has to leave it in any direction.
+        c = (0.1, 0.1, 0.7)
+        beta, az = tilt * np.pi / 63, azimuth * np.pi
+        axis = (-np.sin(az), np.cos(az), 0.0)
+        u = np.cos(beta / 2) * np.eye(2) - 1j * np.sin(beta / 2) * sum(a * p for a, p in zip(axis, PAULIS))
+        u = np.kron(u, np.eye(2))
+        self._check(u @ bell_diagonal_state(c) @ u.conj().T, c)
+
+
+class TestZoomRefinement:
+    def test_refined_value_never_worse_than_grid_winner(self, random_two_qubit_corpus):
+        grid_only = OptimizerConfig(refine_iterations=0)
+        states = random_two_qubit_corpus[:12] + [product_state(9), example_separable(0.3)]
+        for rho in states:
+            assert maximize_measured_mi(rho).value >= maximize_measured_mi(rho, grid_only).value
+            assert oneway_deficit(rho) <= oneway_deficit(rho, grid_only)
+
+    def test_zero_rounds_return_the_grid_value(self):
+        rho = random_density((2, 2), 55)
+        cfg = OptimizerConfig(refine_iterations=0)
+        opt = maximize_measured_mi(rho, cfg)
+        thetas = np.linspace(0.0, np.pi, cfg.grid_resolution)
+        phis = np.linspace(0.0, 2.0 * np.pi, 2 * cfg.grid_resolution, endpoint=False)
+        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+        s_b = von_neumann_entropy(rho.marginal([1]))
+        grid = measures._measured_mi_batch(measures._fano_matrix(rho.matrix), s_b, tt.ravel(), pp.ravel())
+        assert opt.value == np.max(grid)
+        assert opt.evaluations == grid.size
+
+    def test_rounds_cap_and_default_converges(self, monkeypatch):
+        results = []
+        zoom = measures.minimize
+
+        def recording(*args, **kwargs):
+            results.append(zoom(*args, **kwargs))
+            return results[-1]
+
+        # the zoom is looked up as the module attribute ``minimize`` on every call
+        monkeypatch.setattr(measures, "minimize", recording)
+        rho = random_density((2, 2), 56)
+        measure_report(rho)
+        # 2 pi/63 halves below 1e-11 after 34 rounds of 49 points, well inside the default 200
+        assert [(r.nfev, r.success) for r in results] == [(34 * 49, True)] * 2
+        results.clear()
+        measure_report(rho, OptimizerConfig(refine_iterations=3))
+        assert [(r.nfev, r.success) for r in results] == [(3 * 49, False)] * 2
