@@ -1,4 +1,4 @@
-"""Distance to the separable set: extended measurements and witness search.
+"""Distance to the separable set: extended measurements and the PPT solve.
 
 Run:  python3 demos/separable_distance_bound.py
 """
@@ -34,10 +34,11 @@ for w, a, b in zip(ensemble.weights, ensemble.a_states, ensemble.b_states):
     print("   A factor:", np.round(np.real(np.asarray(a)), 3).tolist())
     print("   B factor:", np.round(np.real(np.asarray(b)), 3).tolist())
 
-# For states without a built-in witness the estimator searches: seeded
-# random ensembles refined under a marginal-matching penalty.  The result
-# is an upper bound on the distance, never presented as the exact minimum.
-print("\nwitness search:")
+# For states without a built-in witness the estimator minimizes the
+# divergence over the PPT states with the same B marginal (for two qubits,
+# the separable ones) and splits the minimizer into at most four product
+# terms; the bound is the divergence to that explicit separable state.
+print("\nPPT solve:")
 sep = example_separable(0.5)
 est = quantumness_upper_bound(sep)
 print(f"  separable example: bound {est.upper_bound:.2e} (built-in witness)")

@@ -225,11 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bmap.add_argument("--json", action="store_true")
     p_bmap.set_defaults(func=cmd_bmap_demo)
 
-    p_quant = sub.add_parser("quantumness", help="upper bound on the separable distance")
+    p_quant = sub.add_parser("quantumness", help="distance to the separable states sharing rho_B")
     p_quant.add_argument("path")
-    p_quant.add_argument("--terms", type=int, default=8)
-    p_quant.add_argument("--restarts", type=int, default=8)
-    p_quant.add_argument("--seed", type=int, default=0)
+    unused = "; does not change a two-qubit result"
+    p_quant.add_argument("--terms", type=int, default=8, help="at least 4" + unused)
+    p_quant.add_argument("--restarts", type=int, default=8, help="non-negative" + unused)
+    p_quant.add_argument("--seed", type=int, default=0, help="non-negative" + unused)
     p_quant.add_argument("--json", action="store_true")
     p_quant.set_defaults(func=cmd_quantumness)
 

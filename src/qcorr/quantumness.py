@@ -5,10 +5,10 @@ Pinching an ancilla-extended state with a rank-1 projective measurement on
 the ancilla+A block and discarding the ancilla always produces a separable
 state on A+B.  The quantumness of a state is the minimal relative entropy
 to any state reachable this way, equivalently to any separable state with
-the same B marginal.  That exact minimum is as hard as the relative
-entropy of entanglement, so :func:`quantumness_upper_bound` deliberately
-reports an upper bound: the best feasible witness found by seeded local
-search, never presented as the exact minimum.
+the same B marginal.  For two qubits the separable states are the PPT
+ones, so :func:`quantumness_upper_bound` solves that minimum as a convex
+program and reports the divergence to an explicit separable witness: never
+below the quantumness, and above it by at most the solver's gap.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _relative_entropy_kernel, relative_entropy, von_neumann_entropy
+from .entropy import relative_entropy
 from .errors import (
     DimensionMismatch,
     NoFeasibleWitness,
@@ -26,11 +26,9 @@ from .errors import (
     OutOfRange,
     UnsupportedDimension,
 )
-from .linalg import PAULIS, bloch_states, partial_trace
+from .linalg import PAULIS, partial_trace
 from .measurement import (
     ProjectiveMeasurement,
-    ZERO_OUTCOME_TOL,
-    _decohere_in_marginal_eigenbases,
     _measurement_branches,
     example_extension_measurement,
     pinch,
@@ -126,12 +124,12 @@ def verify_example_insensitivity(p: float) -> InsensitivityReport:
 
 @dataclass(frozen=True)
 class QuantumnessEstimate:
-    """Best found upper bound on the distance to the separable set.
+    """The distance to the separable set, with a witness that attains it.
 
-    ``restarts_used`` counts candidate witnesses, not restarts: the direct
-    witness when there is one, the product of marginals, the refined
-    decohered ensemble and each refined random restart, up to the first
-    zero bound.
+    ``upper_bound`` is D(rho || witness.assemble()) in bits: for two qubits
+    the minimum, up to the solver's gap.  ``restarts_used`` counts candidate
+    witnesses, not restarts: the direct witness when there is one, the
+    product of marginals and the solver's witness, up to the first zero bound.
     """
 
     upper_bound: float
@@ -141,147 +139,177 @@ class QuantumnessEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Witness search internals.  Each candidate separable state is parametrized
-# by K terms of (weight, Bloch vector of the A factor, Bloch vector of the
-# B factor); weights are squared-normalized and Bloch vectors clipped to the
-# unit ball, so every parameter vector maps to a valid separable state.
+# The two-qubit minimum.  Separable two-qubit states are the PPT ones (Peres,
+# PRL 77, 1413 (1996)), so min D(rho || sigma) over sigma >= 0,
+# sigma^{T_B} >= 0, Tr_A sigma = rho_B is convex.  In
+# sigma(x) = (I/2) (x) rho_B + sum_k x_k E_k the 12 directions E_k
+# (sigma_i (x) I / 4, sigma_i (x) sigma_j / 4) keep Tr_A sigma = rho_B, and
+# x = 0 is strictly feasible when rho_B is full rank.
 # ---------------------------------------------------------------------------
 
-def _state_to_bloch(rho: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,iba->i", rho, PAULIS).real
+_E = np.array([np.kron(p, q) for p in PAULIS for q in (np.eye(2), *PAULIS)]) / 4
+#: The directions E_k and their partial transposes on B, shape (2, 12, 4, 4).
+_DIRECTIONS = np.stack([_E, _E.reshape(12, 2, 2, 2, 2).swapaxes(2, 4).reshape(12, 4, 4)])
+#: The solve stops once the barrier's duality gap 8/t (nats) is below this.
+_GAP_TOL = 1e-11
+#: Factor by which each centering stage raises the barrier weight t.
+_T_FACTOR = 30.0
+#: A centering stage ends once the squared Newton decrement is below this.
+_CENTERING_TOL = 1e-9
+#: A cap on each stage's Newton steps; converging stages take at most about 16.
+_STAGE_STEPS = 50
 
 
-def _bloch_batch_to_states(r: np.ndarray) -> np.ndarray:
-    """(k, 3) Bloch vectors, clipped to the unit ball, to (k, 2, 2) states."""
-    norms = np.linalg.norm(r, axis=1)
-    scale = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
-    return bloch_states(r * scale[:, None])
+def _log_dd1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Divided differences (ln a - ln b) / (a - b) of positive arrays, 1/a at a = b."""
+    z = (a - b) / (a + b)
+    close = np.abs(z) < 0.5
+    ratio = np.ones_like(z)  # ln a - ln b = 2 artanh(z) keeps its digits for close a, b
+    np.divide(np.arctanh(z), z, out=ratio, where=close & (z != 0.0))
+    out = 2.0 * ratio / (a + b)
+    np.divide(np.log(a) - np.log(b), a - b, out=out, where=~close)
+    return out
 
 
-#: Trial moves that ``_refine_witness`` evaluates in one batched objective
-#: call.  Larger chunks waste the trials after an accepted move; smaller ones
-#: pay the fixed cost of a call more often.  Of 8 to 48, 24 and 32 were
-#: fastest on the benchmark's quantumness inputs (8 took 15-30% longer).
-_TRIAL_CHUNK = 24
+def _log_dd2(lam: np.ndarray) -> np.ndarray:
+    """Second divided differences ln[l_i, l_m, l_j] of spectra (..., n), shape (..., n, n, n)."""
+    a, b, c = np.broadcast_arrays(lam[..., :, None, None], lam[..., None, :, None], lam[..., None, None, :])
+    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    mid = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    mean = (lo + mid + hi) / 3.0
+    # Close triples: -(1/2 + p2/8 - p3/15) / mean^2 with p_k = sum ((l - mean) / mean)^k,
+    # the Taylor series about the mean.
+    d = (np.stack([lo, mid, hi]) - mean) / mean
+    out = (-0.5 - np.sum(d**2, axis=0) / 8.0 + np.sum(d**3, axis=0) / 15.0) / mean**2
+    np.divide(_log_dd1(hi, mid) - _log_dd1(lo, mid), hi - lo, out=out, where=hi - lo > 1e-3 * mean)
+    return out
 
 
-def _params_to_terms(x: np.ndarray, k: int):
-    """Weights, A factors, B factors and products A_i (x) B_i of a parameter vector."""
-    w2 = x[:k] ** 2
-    total = w2.sum()
-    weights = np.full(k, 1.0 / k) if total <= 0.0 else w2 / total
-    a_states = _bloch_batch_to_states(x[k : 4 * k].reshape(k, 3))
-    b_states = _bloch_batch_to_states(x[4 * k :].reshape(k, 3))
-    return weights, a_states, b_states, _kron_batch(a_states, b_states)
+def _barrier_point(x: np.ndarray, t: float, base: np.ndarray, weights: np.ndarray):
+    """Value of -Tr[(t W + I) ln S] summed over S = sigma(x), sigma(x)^{T_B}.
 
-
-def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker products of two (n, 2, 2) stacks, shape (n, 4, 4)."""
-    return np.einsum("kab,kcd->kacbd", a, b).reshape(-1, 4, 4)
-
-
-def _trial_sigmas(x, k, products, coords, deltas) -> np.ndarray:
-    """The separable states of ``x`` with ``x[coords[t]] += deltas[t]``, one per trial t.
-
-    ``products`` holds the terms A_j (x) B_j of ``x``.  A trial moves one
-    coordinate, so it changes one term i: its weight, or one factor of
-    A_i (x) B_i.  Its state is sum_j w2_j A_j (x) B_j with term i swapped for
-    the moved one, divided by the trial's total squared weight.
+    With W = rho for sigma and W = 0 for its partial transpose this is
+    t * (-Tr rho ln sigma) - ln det sigma - ln det sigma^{T_B}.  Returns it
+    with both spectra, eigenvectors and t W + I in each eigenbasis, or None
+    when either matrix is not positive definite.
     """
-    n = coords.size
-    rows = np.arange(n)
-    trials = np.repeat(x[None, :], n, axis=0)
-    trials[rows, coords] += deltas
-    term = np.where(coords < k, coords, (coords - k) % (3 * k) // 3)
-    # The A and B Bloch vectors of each trial's moved term, shape (n, 2, 3).
-    bloch = trials[:, k:].reshape(n, 2, k, 3)[rows, :, term]
-    factors = _bloch_batch_to_states(bloch.reshape(-1, 3)).reshape(n, 2, 2, 2)
-    w2 = x[:k] ** 2
-    trial_w2 = trials[:, :k] ** 2
-    totals = trial_w2.sum(axis=1)
-    sigmas = (
-        np.einsum("k,kab->ab", w2, products)
-        + trial_w2[rows, term, None, None] * _kron_batch(factors[:, 0], factors[:, 1])
-        - w2[term, None, None] * products[term]
+    lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS.reshape(2, 12, 16)).reshape(2, 4, 4))
+    if lam[:, 0].min() <= 0.0:
+        return None
+    xt = u.conj().swapaxes(-1, -2) @ (t * weights) @ u + np.eye(4)
+    return -float(np.sum(np.diagonal(xt, axis1=-2, axis2=-1).real * np.log(lam))), lam, u, xt
+
+
+def _newton_step(lam: np.ndarray, u: np.ndarray, xt: np.ndarray):
+    """Newton direction and squared decrement of the barrier at one point.
+
+    In the eigenbasis of S, with L1 and L2 the divided differences of ln at
+    its spectrum (Daleckii-Krein), -Tr[X ln S] has gradient -Re <E_k, L1 o X>
+    along E_k and Hessian -2 Re sum_m P_m W_m P_m^H, where
+    W_m[i, j] = L2[i, m, j] X[j, i] and P_m[k, i] = E_k[i, m].  The Hessian
+    is scaled by its diagonal before the solve: near the boundary its
+    entries span about 18 orders of magnitude.
+    """
+    et = u.conj().swapaxes(-1, -2)[:, None] @ _DIRECTIONS @ u[:, None]
+    l1 = _log_dd1(lam[..., :, None], lam[..., None, :])
+    grad = -np.sum((et.conj() * (l1 * xt)[:, None]).real, axis=(0, 2, 3))
+    w = (_log_dd2(lam) * xt.swapaxes(-1, -2)[:, :, None, :]).swapaxes(1, 2)
+    p = et.transpose(0, 3, 1, 2)
+    hess = -2.0 * np.sum((p @ w @ p.conj().swapaxes(-1, -2)).real, axis=(0, 1))
+    scale = 1.0 / np.sqrt(np.diag(hess))
+    # A pseudo-inverse through the complex eigh that every other
+    # decomposition here uses: a least-squares or real symmetric solver
+    # would map about 0.5 MB more of LAPACK into memory.
+    vals, vecs = np.linalg.eigh(hess * np.outer(scale, scale) + 0j)
+    inverse = np.divide(1.0, vals, out=np.zeros_like(vals), where=vals > 12 * np.finfo(float).eps * vals[-1])
+    step = ((vecs * inverse) @ (vecs.conj().T @ (-grad * scale))).real * scale
+    return step, float(-grad @ step)
+
+
+def _ppt_minimizer(rho4: np.ndarray, rho_b: np.ndarray) -> np.ndarray | None:
+    """The PPT sigma with Tr_A sigma = rho_B closest to rho, within ``_GAP_TOL``.
+
+    Log-barrier method: each stage takes Newton steps at fixed t, the full
+    step when the decrement is below 1/2 and the step stays feasible, a
+    backtracking line search otherwise.  A stage ends when the squared
+    decrement is below ``_CENTERING_TOL`` or stops shrinking (rounding has
+    taken over), when the line search finds no decrease, or at the cap.
+    None when rho_B is singular: the feasible set then has no interior.
+    """
+    base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])  # sigma(0) and its T_B
+    weights = np.stack([rho4, np.zeros_like(rho4)])
+    x, t = np.zeros(12), 1.0
+    point = _barrier_point(x, t, base, weights)
+    if point is None:
+        return None
+    while True:
+        previous = math.inf
+        for _ in range(_STAGE_STEPS):
+            value, lam, u, xt = point
+            step, decrement = _newton_step(lam, u, xt)
+            if decrement <= _CENTERING_TOL or (previous < 0.25 and decrement >= previous):
+                break
+            previous, alpha = decrement, 1.0
+            trial = _barrier_point(x + step, t, base, weights)
+            if decrement >= 0.25 or trial is None:
+                while alpha > 1e-9 and (trial is None or trial[0] > value - 0.25 * alpha * decrement):
+                    alpha *= 0.5
+                    trial = _barrier_point(x + alpha * step, t, base, weights)
+                if trial is None or trial[0] > value - 0.25 * alpha * decrement:
+                    break
+            x, point = x + alpha * step, trial
+        if 8.0 / t < _GAP_TOL:
+            return base[0] + (x @ _DIRECTIONS[0].reshape(12, 16)).reshape(4, 4)
+        t *= _T_FACTOR
+        point = _barrier_point(x, t, base, weights)
+
+
+def _closing_angle(a: float, b: float, c: float) -> float:
+    """An angle g with |a + b e^{ig}| = c, or the nearest one when none exists."""
+    if a * b == 0.0:
+        return 0.0
+    return math.acos(min(1.0, max(-1.0, (c * c - a * a - b * b) / (2.0 * a * b))))
+
+
+def _product_decomposition(sigma: np.ndarray) -> SeparableEnsemble:
+    """At most four product terms summing to a two-qubit sigma of zero concurrence.
+
+    Wootters' construction (PRL 80, 2245 (1998)): with sigma = V V^H, the
+    Takagi factorization V^T (sigma_y (x) sigma_y) V = W diag(c) W^T gives
+    y = V conj(W) with y_j^T (sigma_y (x) sigma_y) y_k = c_j delta_jk.  Zero
+    concurrence, c_0 <= c_1 + c_2 + c_3, admits phases with
+    sum_j c_j e^{2i theta_j} = 0; then each of the four sign combinations
+    (1/2) sum_j (+/-) e^{i theta_j} y_j is a product vector, split by SVD.
+    """
+    lam, u = np.linalg.eigh(sigma)
+    v = u * np.sqrt(np.maximum(lam, 0.0))
+    m = v.T @ np.kron(PAULIS[1], PAULIS[1]) @ v
+    # Takagi through the real embedding: an eigenvector (p, q) of
+    # [[Re m, Im m], [Im m, -Re m]] with eigenvalue c >= 0 gives m conj(w) = c w, w = p + i q.
+    # The complex eigh keeps a real input's eigenvectors real up to a phase per column.
+    vals, vecs = np.linalg.eigh(np.block([[m.real, m.imag], [m.imag, -m.real]]) + 0j)
+    vecs = (vecs * np.exp(-1j * np.angle(vecs[np.argmax(np.abs(vecs), axis=0), range(8)]))).real
+    c = vals[:3:-1]
+    y = v @ (vecs[:4, :3:-1] - 1j * vecs[4:, :3:-1])
+    # Close the polygon sum_j c_j e^{i phi_j}: c_0 and c_1 leave a side r
+    # that c_2 and c_3 can span, since c_0 - c_1 <= r <= c_2 + c_3.
+    r = max(c[0] - c[1], c[2] - c[3])
+    g1, g3 = _closing_angle(c[0], c[1], r), _closing_angle(c[2], c[3], r)
+    turn = np.angle(-(c[0] + c[1] * np.exp(1j * g1))) - np.angle(c[2] + c[3] * np.exp(1j * g3))
+    y = y * np.exp(0.5j * np.array([0.0, g1, turn, turn + g3]))
+    signs = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+    z = (y @ signs / 2.0).T.reshape(4, 2, 2)
+    # Each z = a b^T: a is its longer column, normalized, and b = z^T conj(a).
+    a = z[range(4), :, np.argmax(np.linalg.norm(z, axis=1), axis=1)]
+    keep = np.flatnonzero(a.any(axis=1))
+    a = a[keep] / np.linalg.norm(a[keep], axis=1, keepdims=True)
+    b = np.einsum("kij,ki->kj", z[keep], a.conj())
+    weights = np.sum(np.abs(b) ** 2, axis=1)
+    return SeparableEnsemble(
+        weights / weights.sum(),
+        tuple(np.outer(v, v.conj()) for v in a),
+        tuple(np.outer(v, v.conj()) / w for v, w in zip(b, weights)),
     )
-    flat = totals <= 0.0
-    sigmas /= np.where(flat, 1.0, totals)[:, None, None]
-    for t in np.flatnonzero(flat):  # every weight zero: the terms mix uniformly
-        sigmas[t] = np.mean(_params_to_terms(trials[t], k)[3], axis=0)
-    return sigmas
-
-
-def _marginal_b(sigma: np.ndarray) -> np.ndarray:
-    return partial_trace(sigma, (2, 2), [1])
-
-
-def _refine_witness(rho4, s_rho, rho_b, x0, k, outer_iterations=4, mu0=10.0, max_sweeps=30):
-    """Deterministic coordinate descent under a ramped marginal penalty.
-
-    Each outer iteration multiplies the penalty weight mu on the squared
-    marginal gap |Tr_A sigma - rho_B|^2 tenfold.  A sweep visits the
-    coordinates in order and tries +step, then -step, on each; the first
-    trial that beats the current value by more than 1e-12 is taken and the
-    sweep goes on at the next coordinate.  A sweep that takes no move halves
-    the step.
-
-    Trials are evaluated speculatively: the next ``_TRIAL_CHUNK`` trials in
-    visiting order go through one batched objective call.  The first
-    improving trial of a chunk is the move a one-trial-at-a-time loop would
-    take, the trials after it are discarded, and the next chunk starts at
-    the following coordinate, so the search path is the sequential one.
-    """
-    x = np.array(x0, dtype=float)
-    coords = np.repeat(np.arange(x.size), 2)
-    signs = np.tile([1.0, -1.0], x.size)
-
-    def objective(sigmas, mu):
-        div = _relative_entropy_kernel(rho4, s_rho, sigmas)
-        gap = sigmas.reshape(-1, 2, 2, 2, 2).trace(axis1=1, axis2=3) - rho_b
-        return div + mu * np.sum(np.abs(gap) ** 2, axis=(1, 2))
-
-    for outer in range(outer_iterations):
-        mu = mu0 * 10.0**outer
-        weights, _, _, products = _params_to_terms(x, k)
-        current = float(objective(np.einsum("k,kab->ab", weights, products)[None], mu)[0])
-        step = 0.25
-        sweeps = 0
-        while step > 1e-4 and sweeps < max_sweeps:
-            sweeps += 1
-            if current < 1e-12:
-                return x
-            improved = False
-            start = 0
-            while start < coords.size:
-                chunk = slice(start, start + _TRIAL_CHUNK)
-                deltas = step * signs[chunk]
-                values = objective(_trial_sigmas(x, k, products, coords[chunk], deltas), mu)
-                better = np.flatnonzero(values < current - 1e-12)
-                if better.size == 0:
-                    start += _TRIAL_CHUNK
-                    continue
-                t = better[0]
-                j = coords[chunk][t]
-                x[j] += deltas[t]
-                current = float(values[t])
-                improved = True
-                products = _params_to_terms(x, k)[3]
-                start = 2 * (j + 1)
-            if not improved:
-                step *= 0.5
-    return x
-
-
-def _ensemble_to_params(ensemble: SeparableEnsemble, k: int) -> np.ndarray:
-    x = np.zeros(7 * k)
-    n = min(len(ensemble.weights), k)
-    for i in range(n):
-        x[i] = math.sqrt(max(ensemble.weights[i], 0.0))
-        a = np.asarray(ensemble.a_states[i], dtype=complex)
-        b = np.asarray(ensemble.b_states[i], dtype=complex)
-        x[k + 3 * i : k + 3 * i + 3] = _state_to_bloch(a)
-        x[4 * k + 3 * i : 4 * k + 3 * i + 3] = _state_to_bloch(b)
-    return x
 
 
 def quantumness_upper_bound(
@@ -291,67 +319,45 @@ def quantumness_upper_bound(
     seed: int = 0,
     witness: SeparableEnsemble | None = None,
 ) -> QuantumnessEstimate:
-    """Upper bound on the minimal divergence to separable states sharing rho_B.
+    """Divergence from rho to the closest separable state sharing rho_B, with its witness.
 
     Candidates, in order: the caller-supplied or construction-time witness
-    evaluated directly (this pins separable inputs to a zero bound without
-    search); the decohered-diagonal ensemble, refined; then ``restarts``
-    seeded random ensembles, each refined by coordinate descent under a
-    marginal-matching penalty ramped tenfold per outer iteration.  Only
-    candidates whose witness reproduces the B marginal within 1e-4
+    evaluated directly (a zero bound ends the call); the product of
+    marginals (zero for a rank-1 rho_B, where rho is a product); the PPT
+    minimizer split into at most four product terms.  Only candidates whose
+    witness reproduces the B marginal within ``FEASIBILITY_TOL``
     (Frobenius) count; the smallest divergence among them is returned.
+    ``terms`` (at least 4), ``restarts`` and ``seed`` (non-negative) are
+    range-checked but do not change a two-qubit result.
     """
     if tuple(rho.dims) != (2, 2):
         raise UnsupportedDimension(f"estimator supports dims (2, 2); got {tuple(rho.dims)}")
     if terms < 4:
         raise OutOfRange(f"terms={terms} must be at least 4")
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if value < 0:
+            raise OutOfRange(f"{name}={value} must be non-negative")
 
-    rho4 = rho.matrix
     rho_b = rho.marginal([1]).matrix
-    s_rho = von_neumann_entropy(rho)
-    rng = np.random.default_rng(seed)
-
     candidates: list[tuple[float, float, SeparableEnsemble]] = []
 
     def add_candidate(ensemble: SeparableEnsemble) -> bool:
         """Record a candidate; True once a feasible zero bound exists."""
         sigma = ensemble.assemble()
         bound = relative_entropy(rho.matrix, sigma)
-        residual = float(np.linalg.norm(_marginal_b(sigma) - rho_b))
+        residual = float(np.linalg.norm(partial_trace(sigma, (2, 2), [1]) - rho_b))
         candidates.append((bound, residual, ensemble))
         return bound < 1e-12 and residual < FEASIBILITY_TOL
 
-    def refine_from(x0: np.ndarray) -> bool:
-        x = _refine_witness(rho4, s_rho, rho_b, x0, terms)
-        w, a_states, b_states, _ = _params_to_terms(x, terms)
-        keep = w > ZERO_OUTCOME_TOL
-        ensemble = SeparableEnsemble(
-            w[keep] / w[keep].sum(),
-            tuple(a for a, f in zip(a_states, keep) if f),
-            tuple(b for b, f in zip(b_states, keep) if f),
-        )
-        return add_candidate(ensemble)
-
     direct = witness if witness is not None else rho.witness
     done = add_candidate(direct) if direct is not None else False
-    # The product of marginals and the decohered-diagonal ensemble both
-    # match rho_B exactly, so a feasible bound always exists; a zero bound
-    # from any candidate is optimal and ends the search early.
     done = done or add_candidate(
         SeparableEnsemble(np.array([1.0]), (rho.marginal([0]).matrix,), (rho_b,))
     )
-    done = done or refine_from(_ensemble_to_params(_decohere_in_marginal_eigenbases(rho)[0], terms))
-    for _ in range(restarts):
-        if done:
-            break
-        x0 = np.concatenate(
-            [
-                rng.uniform(0.2, 1.0, size=terms),
-                rng.uniform(-1.0, 1.0, size=3 * terms),
-                rng.uniform(-1.0, 1.0, size=3 * terms),
-            ]
-        )
-        done = refine_from(x0)
+    if not done:
+        sigma = _ppt_minimizer(rho.matrix, rho_b)
+        if sigma is not None:
+            add_candidate(_product_decomposition(sigma))
 
     feasible = [c for c in candidates if c[1] < FEASIBILITY_TOL and not math.isinf(c[0])]
     if not feasible:

@@ -151,6 +151,17 @@ class TestQuantumness:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["quantumness"]["upper_bound"] - 1.0) < 0.05
 
+    def test_exact_values_from_files(self, tmp_path, bell_file, capsys):
+        # read from a file, the separable example carries no witness
+        separable = write_state(tmp_path / "sep.json", (2, 2), example_separable(0.4585).matrix)
+        assert main(["quantumness", separable, "--restarts", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["quantumness"]["upper_bound"] <= 1e-9
+        assert main(["quantumness", bell_file, "--restarts", "0", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["quantumness"]["upper_bound"] - 1.0) <= 1e-8
+        assert report["quantumness"]["marginal_residual"] <= 1e-12
+        assert report["restarts_used"] == 2
+
     def test_corrupted_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("not json at all {{{")
@@ -180,3 +191,10 @@ class TestRejectsInvalidInput:
     def test_negative_refine_exits_5(self, bell_file, capsys):
         assert main(["measures", bell_file, "--refine", "-5"]) == 5
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", [["--restarts", "-3"], ["--seed", "-1"], ["--terms", "3"]])
+    def test_quantumness_out_of_range_exits_5(self, bell_file, capsys, flag):
+        assert main(["quantumness", bell_file, *flag]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range" in captured.err

@@ -32,6 +32,7 @@ from oracles import (
     bell_diagonal_state,
     dense_grid_measures,
     entropy_bits,
+    qubit_unitary,
     xlog2,
 )
 
@@ -264,13 +265,6 @@ def test_negative_refine_iterations_rejected():
         OptimizerConfig(refine_iterations=-5)
 
 
-def _qubit_unitary(rng):
-    """q0 I - i q.sigma for a random unit quaternion q."""
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    return q[0] * np.eye(2) - 1j * sum(qk * p for qk, p in zip(q[1:], PAULIS))
-
-
 class TestBellDiagonalOracle:
     """measure_report against the closed forms for Bell-diagonal states."""
 
@@ -295,7 +289,7 @@ class TestBellDiagonalOracle:
         rng = np.random.default_rng(77)
         for _ in range(10):
             c = rng.dirichlet(np.ones(4)) @ BELL_TETRAHEDRON
-            u = np.kron(_qubit_unitary(rng), _qubit_unitary(rng))
+            u = np.kron(qubit_unitary(rng), qubit_unitary(rng))
             self._check(u @ bell_diagonal_state(c) @ u.conj().T, c)
 
     @pytest.mark.parametrize("tilt", [0.45, -0.45])

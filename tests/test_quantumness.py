@@ -20,6 +20,14 @@ from qcorr.measurement import ProjectiveMeasurement
 from qcorr.states import SeparableEnsemble
 
 from conftest import classical_state, product_state
+from oracles import (
+    BELL_TETRAHEDRON,
+    bell_diagonal_quantumness,
+    bell_diagonal_state,
+    classical_quantum_state,
+    pure_quantumness,
+    qubit_unitary,
+)
 
 
 class TestResidualState:
@@ -136,70 +144,9 @@ def _two_qubit_pure(angle):
     return validate_density(np.outer(psi, psi.conj()), (2, 2))
 
 
-PATH_STATES = {
-    "bell": bell_state,
-    "pure": lambda: _two_qubit_pure(0.3),
-    "separable-no-witness": lambda: validate_density(example_separable(0.4).matrix, (2, 2)),
-    "wishart-21": lambda: random_density((2, 2), 21),
-    "wishart-22": lambda: random_density((2, 2), 22),
-}
-
-
-class TestBatchedRefinement:
-    """The batched first-improvement sweep takes the one-trial-at-a-time path."""
-
-    @pytest.mark.parametrize("start", ["decohered", "random"])
-    @pytest.mark.parametrize("name", sorted(PATH_STATES))
-    def test_same_path_as_sequential_descent(self, name, start):
-        from oracles import sequential_refine_witness
-        from qcorr.measurement import _decohere_in_marginal_eigenbases
-        from qcorr.quantumness import _ensemble_to_params, _refine_witness
-
-        rho = PATH_STATES[name]()
-        k = 8
-        if start == "decohered":
-            x0 = _ensemble_to_params(_decohere_in_marginal_eigenbases(rho)[0], k)
-        else:
-            rng = np.random.default_rng(4)
-            x0 = np.concatenate([rng.uniform(0.2, 1.0, k), rng.uniform(-1.0, 1.0, 6 * k)])
-        args = (rho.matrix, von_neumann_entropy(rho), rho.marginal([1]).matrix, x0, k)
-        budget = dict(outer_iterations=2, max_sweeps=4)
-        batched = _refine_witness(*args, **budget)
-        assert np.array_equal(batched, sequential_refine_witness(*args, **budget))
-        if start == "random":  # the decohered Bell and pure starts take no move at this budget
-            assert not np.array_equal(batched, x0)
-
-    def test_trial_states_match_a_full_rebuild(self):
-        from oracles import _params_to_sigma
-        from qcorr.quantumness import _params_to_terms, _trial_sigmas
-
-        k = 4
-        rng = np.random.default_rng(9)
-        # Term 0 carries all the weight, so its -0.25 move zeroes every weight
-        # (the uniform mixture); Bloch components up to 0.7 put many vectors
-        # outside the unit ball, so the clipping is exercised too.
-        x = np.concatenate([[0.25, 0.0, 0.0, 0.0], rng.uniform(-0.7, 0.7, 6 * k)])
-        coords = np.repeat(np.arange(x.size), 2)
-        deltas = np.tile([0.25, -0.25], x.size)
-        _, _, _, products = _params_to_terms(x, k)
-        sigmas = _trial_sigmas(x, k, products, coords, deltas)
-        for sigma, j, delta in zip(sigmas, coords, deltas):
-            trial = x.copy()
-            trial[j] += delta
-            assert np.max(np.abs(sigma - _params_to_sigma(trial, k)[0])) < 1e-14
-        uniform = np.mean(products, axis=0)
-        assert np.max(np.abs(sigmas[1] - uniform)) < 1e-15
-
-
 class TestCertifiedLowerBound:
     """The upper bound never undercuts the certified lower bounds."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known shortfall of 9e-9 to 4e-8 bits: the refined witness is rank 2 and rho "
-        "puts up to 7e-9 of its weight in the witness's kernel, below SUPPORT_LEAK_TOL = 1e-8, "
-        "so the divergence kernel drops that weight instead of reporting infinity",
-    )
     @pytest.mark.parametrize("angle", [0.15, 0.45, np.pi / 4])
     def test_pure_states_at_least_entanglement_entropy(self, angle):
         rho = _two_qubit_pure(angle)
@@ -216,3 +163,126 @@ class TestCertifiedLowerBound:
             von_neumann_entropy(rho.marginal([1])) - s_ab,
         )
         assert quantumness_upper_bound(rho, restarts=0).upper_bound >= lower - 1e-9
+
+
+class TestClosedFormOracles:
+    """The bound equals the quantumness where it has a closed form."""
+
+    def test_bell_diagonal_states(self):
+        rng = np.random.default_rng(1998)
+        for _ in range(24):
+            weights = rng.dirichlet(np.ones(4))
+            u = np.kron(qubit_unitary(rng), qubit_unitary(rng))
+            matrix = u @ bell_diagonal_state(weights @ BELL_TETRAHEDRON) @ u.conj().T
+            bound = quantumness_upper_bound(validate_density(matrix, (2, 2)), restarts=0).upper_bound
+            assert abs(bound - bell_diagonal_quantumness(weights)) < 1e-9
+
+    def test_pure_states(self):
+        rng = np.random.default_rng(1655)
+        schmidt = [[np.cos(a), 0.0, 0.0, np.sin(a)] for a in (0.15, 0.45, np.pi / 4)]
+        haar = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(20)]
+        for psi in schmidt + haar:
+            psi = np.asarray(psi, dtype=complex) / np.linalg.norm(psi)
+            rho = validate_density(np.outer(psi, psi.conj()), (2, 2))
+            bound = quantumness_upper_bound(rho, restarts=0).upper_bound
+            assert abs(bound - pure_quantumness(psi)) < 1e-9
+
+    def test_classical_quantum_states(self):
+        rng = np.random.default_rng(2010)
+        for _ in range(20):
+            b_states = [random_density((2,), int(s)).matrix for s in rng.integers(0, 2**20, 2)]
+            matrix = classical_quantum_state(rng.dirichlet(np.ones(2)), qubit_unitary(rng), b_states)
+            u_b = np.kron(np.eye(2), qubit_unitary(rng))
+            rho = validate_density(u_b @ matrix @ u_b.conj().T, (2, 2))
+            assert quantumness_upper_bound(rho, restarts=0).upper_bound < 1e-9
+
+
+class TestPptSolve:
+    """The convex solve: exact zeros, witness shape and the singular-marginal edge."""
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_witness_has_at_most_four_terms_and_exact_marginal(self, seed):
+        estimate = quantumness_upper_bound(random_density((2, 2), seed), restarts=0)
+        assert len(estimate.witness.weights) <= 4
+        assert estimate.marginal_residual <= 1e-12
+
+    def test_product_decomposition_rebuilds_separable_states(self):
+        from qcorr.quantumness import _product_decomposition
+
+        werner = bell_state().matrix / 3 + np.eye(4) / 6  # Bell weight 1/3: on the PPT boundary
+        separable = [np.diag([0.1, 0.4, 0.3, 0.2]), np.diag([0.0, 0.5, 0.5, 0.0]), werner]
+        separable += [m for m in (random_density((2, 2), s).matrix for s in range(40, 60))
+                      if np.linalg.eigvalsh(m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))[0] > 0]
+        assert len(separable) > 5
+        for sigma in separable:
+            ensemble = _product_decomposition(sigma.astype(complex))
+            assert len(ensemble.weights) <= 4
+            assert np.max(np.abs(ensemble.assemble() - sigma)) < 1e-12
+
+    def test_separable_example_without_witness_is_zero(self):
+        bare = validate_density(example_separable(0.4585).matrix, (2, 2))
+        assert quantumness_upper_bound(bare, restarts=0).upper_bound <= 1e-9
+
+    def test_rank_one_marginal_skips_the_solver(self, monkeypatch):
+        from qcorr import quantumness
+
+        def fail(*args):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(quantumness, "_ppt_minimizer", fail)
+        rho_a = random_density((2,), 5).matrix
+        rho = validate_density(np.kron(rho_a, np.diag([1.0, 0.0])), (2, 2))
+        assert quantumness_upper_bound(rho, restarts=0).upper_bound == pytest.approx(0.0, abs=1e-12)
+
+    def test_near_singular_marginal(self):
+        rho_a = random_density((2,), 5).matrix
+        product = np.kron(rho_a, np.diag([1.0, 0.0]))
+        rho = validate_density((1 - 1e-9) * product + 1e-9 * bell_state().matrix, (2, 2))
+        bound = quantumness_upper_bound(rho, restarts=0).upper_bound
+        s_ab = von_neumann_entropy(rho)
+        coherent = max(
+            0.0,
+            von_neumann_entropy(rho.marginal([0])) - s_ab,
+            von_neumann_entropy(rho.marginal([1])) - s_ab,
+        )
+        marginals = np.kron(rho.marginal([0]).matrix, rho.marginal([1]).matrix)
+        assert np.isfinite(bound)
+        assert coherent - 1e-9 <= bound <= relative_entropy(rho.matrix, marginals)
+
+    def test_second_divided_differences_of_close_eigenvalues(self):
+        from qcorr.quantumness import _log_dd2
+
+        # Spreads up to the 1e-3 switch to the Taylor series, where the
+        # textbook quotient, in extended precision, is still accurate.
+        lam = np.array([0.25, 0.25 * (1 + 4e-4), 0.25 * (1 - 5e-4), 0.6, 1e-9])
+        ld = lam.astype(np.longdouble)
+
+        def dd1(a, b):
+            return (np.log(a) - np.log(b)) / (a - b) if a != b else 1 / a
+
+        got = _log_dd2(lam)
+        for i, m, j in [(0, 1, 2), (0, 0, 1), (1, 2, 2), (0, 1, 3), (2, 4, 0)]:
+            a, b, c = sorted([ld[i], ld[m], ld[j]])
+            expected = (dd1(c, b) - dd1(a, b)) / (c - a)
+            assert abs(got[i, m, j] - expected) <= 1e-11 * abs(expected)
+        assert got[3, 3, 3] == -0.5 / 0.6**2
+
+    def test_gradient_and_hessian_match_finite_differences(self):
+        from qcorr.quantumness import _barrier_point, _newton_step
+
+        rho = random_density((2, 2), 31).matrix
+        rho_b = rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+        base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])
+        weights = np.stack([rho, np.zeros_like(rho)])
+        x = np.random.default_rng(3).uniform(-0.05, 0.05, 12)
+
+        def value(y):
+            return _barrier_point(y, 7.0, base, weights)[0]
+
+        step, decrement = _newton_step(*_barrier_point(x, 7.0, base, weights)[1:])
+        # Along the Newton step d: phi'(x; d) = -decrement and phi''(x; d, d) = decrement.
+        h = 1e-4
+        slope = (value(x + h * step) - value(x - h * step)) / (2 * h)
+        curvature = (value(x + h * step) - 2 * value(x) + value(x - h * step)) / h**2
+        assert slope == pytest.approx(-decrement, rel=1e-6)
+        assert curvature == pytest.approx(decrement, rel=1e-4)
