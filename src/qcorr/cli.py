@@ -56,6 +56,13 @@ def _matrix_to_pairs(m: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _complex_cell(cell) -> complex:
+    """A matrix entry from its [re, im] cell; TypeError unless that is two numbers (not booleans)."""
+    if not (isinstance(cell, list) and len(cell) == 2 and all(type(x) in (int, float) for x in cell)):
+        raise TypeError(f"cell {cell!r} is not an [re, im] pair")
+    return complex(*cell)
+
+
 def load_state_file(path: str) -> tuple[DensityMatrix, str]:
     """Parse and validate a state file; returns the state and its digest."""
     try:
@@ -81,10 +88,8 @@ def load_state_file(path: str) -> tuple[DensityMatrix, str]:
     rows = payload["matrix"]
     n = int(np.prod(dims))
     try:
-        matrix = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in rows], dtype=complex
-        )
-    except (TypeError, IndexError, ValueError) as exc:
+        matrix = np.array([[_complex_cell(cell) for cell in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseFailure(f"{path}: matrix entries must be [re, im] pairs") from exc
     if matrix.shape != (n, n):
         raise ParseFailure(
@@ -173,9 +178,13 @@ def cmd_quantumness(args) -> int:
         raise UnsupportedDimension(
             f"quantumness requires dims (2, 2), got {tuple(state.dims)}"
         )
-    estimate = quantumness_upper_bound(
-        state, terms=args.terms, restarts=args.restarts, seed=args.seed
-    )
+    # Kept for compatibility: range-checked, but the two-qubit solve has no use for them.
+    if args.terms < 4:
+        raise OutOfRange(f"terms={args.terms} must be at least 4")
+    for name in ("restarts", "seed"):
+        if getattr(args, name) < 0:
+            raise OutOfRange(f"{name}={getattr(args, name)} must be non-negative")
+    estimate = quantumness_upper_bound(state)
     report = {
         "input_sha256": digest,
         "dims": list(state.dims),
@@ -214,9 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_meas = sub.add_parser("measures", help="all correlation measures of a two-qubit state")
     p_meas.add_argument("path")
-    p_meas.add_argument("--grid", type=int, default=64, help="theta samples per angle")
-    p_meas.add_argument("--refine", type=int, default=200, help="zoom refinement rounds (0: grid only)")
-    p_meas.add_argument("--tol", type=float, default=1e-6, help="optimizer tolerance")
+    cfg = OptimizerConfig()
+    p_meas.add_argument("--grid", type=int, default=cfg.grid_resolution, help="theta samples per angle")
+    p_meas.add_argument("--refine", type=int, default=cfg.refine_iterations, help="zoom rounds (0: grid only)")
+    p_meas.add_argument("--tol", type=float, default=cfg.tolerance, help="optimizer tolerance")
     p_meas.add_argument("--json", action="store_true")
     p_meas.set_defaults(func=cmd_measures)
 

@@ -12,18 +12,19 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeEigenvalue, NotProbability
-from .linalg import SUPPORT_CUTOFF, hermitian_eig, require_hermitian
+from .linalg import EXACT_TOL, ROUNDING_TOL, ZERO_WEIGHT_TOL, hermitian_eig, require_hermitian
 from .states import DensityMatrix, _matrix_of
 
 #: Weight of rho tolerated outside supp(sigma) before reporting infinity.
 SUPPORT_LEAK_TOL = 1e-8
 
 
-def _check_probability_vector(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _check_probability_vector(p: np.ndarray) -> np.ndarray:
+    """``p`` flattened, with rounding negatives (down to ``-ZERO_WEIGHT_TOL``) set to 0."""
     p = np.asarray(p, dtype=float).reshape(-1)
-    if np.any(p < -tol):
+    if np.any(p < -ZERO_WEIGHT_TOL):
         raise NotProbability(f"negative entry {p.min()}")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > EXACT_TOL:
         raise NotProbability(f"entries sum to {p.sum()}")
     return np.maximum(p, 0.0)
 
@@ -54,40 +55,33 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def relative_entropy(rho, sigma, support_tol: float = SUPPORT_LEAK_TOL) -> float:
+def relative_entropy(rho, sigma) -> float:
     """S(rho || sigma) = Tr[rho log2 rho] - Tr[rho log2 sigma].
 
-    Computed on the support of ``sigma``; if ``rho`` carries more than
-    ``support_tol`` weight outside it the divergence is infinite.
+    Eigenvalues of ``sigma`` at or below ``ROUNDING_TOL`` span its kernel.
+    Returns ``math.inf`` when ``rho`` carries more than ``SUPPORT_LEAK_TOL``
+    weight there, and raises :class:`NegativeEigenvalue` when ``rho`` does
+    not leak and ``sigma`` has an eigenvalue below ``-ROUNDING_TOL``.
+    Otherwise every positive eigenvalue of ``sigma`` enters the logarithm,
+    so the weight ``rho`` puts on small ones counts in full.
     """
     r = _matrix_of(rho)
     s = _matrix_of(sigma)
     if r.shape != s.shape:
         raise DimensionMismatch(f"shape mismatch {r.shape} vs {s.shape}")
     require_hermitian(s)
-    return _relative_entropy_kernel(r, von_neumann_entropy(r), s, support_tol)
-
-
-def _relative_entropy_kernel(
-    r: np.ndarray, s_r: float, s: np.ndarray, support_tol: float = SUPPORT_LEAK_TOL
-) -> float:
-    """S(r || s) given S(r), with one eigendecomposition of ``s`` and no input checks.
-
-    Returns ``math.inf`` when ``r`` has more than ``support_tol`` weight
-    outside the support of ``s``; raises :class:`NegativeEigenvalue` when
-    ``s`` does not leak and is not PSD.
-    """
+    s_r = von_neumann_entropy(r)
     vals, vecs = np.linalg.eigh((s + s.conj().T) / 2)
-    kernel = vals <= SUPPORT_CUTOFF
+    kernel = vals <= ROUNDING_TOL
     if np.any(kernel):
         v_ker = vecs[:, kernel]
-        if np.trace(v_ker.conj().T @ r @ v_ker).real > support_tol:
+        if np.trace(v_ker.conj().T @ r @ v_ker).real > SUPPORT_LEAK_TOL:
             return math.inf
-        if vals[0] < -SUPPORT_CUTOFF:
+        if vals[0] < -ROUNDING_TOL:
             raise NegativeEigenvalue(
-                f"eigenvalue {vals[0]:.3e} below -{SUPPORT_CUTOFF:.1e}; matrix is not PSD"
+                f"eigenvalue {vals[0]:.3e} below -{ROUNDING_TOL:.1e}; matrix is not PSD"
             )
-    logs = np.where(kernel, 0.0, np.log2(np.maximum(vals, SUPPORT_CUTOFF)))
+    logs = np.log2(np.where(vals > 0.0, vals, 1.0))
     log_s = (vecs * logs) @ vecs.conj().T
     return max(0.0, -s_r - float(np.trace(r @ log_s).real))
 

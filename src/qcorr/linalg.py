@@ -14,11 +14,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
 
-#: Eigenvalues at or below this magnitude are treated as lying outside the
-#: support of a positive-semidefinite matrix.
-SUPPORT_CUTOFF = 1e-10
-
-HERMITICITY_TOL = 1e-10
+#: Agreement up to rounding, shared by every module: Hermiticity, trace,
+#: positivity, projector and insensitivity checks pass within it, and PSD
+#: eigenvalues at or below it lie outside the support.
+ROUNDING_TOL = 1e-10
+#: Weights and probabilities at or below this count as zero.
+ZERO_WEIGHT_TOL = 1e-12
+#: Slack of identities exact by construction: ket norms, dual overlaps, probability sums.
+EXACT_TOL = 1e-12
+#: An eigenvector's first component above this magnitude fixes its phase.
+_PHASE_PIVOT = 1e-8
 
 #: The Pauli matrices sigma_x, sigma_y, sigma_z, stacked along the first axis.
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
@@ -55,11 +60,12 @@ def hermiticity_defect(m: np.ndarray) -> float:
         return float(np.max(np.abs(m - m.conj().T), initial=0.0))
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """``m`` as a complex square matrix; :class:`NotHermitian` beyond ``ROUNDING_TOL``."""
     m = _as_square(m)
     defect = hermiticity_defect(m)
-    if not defect <= tol:  # also true for the NaN defect of a non-finite entry
-        raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})")
+    if not defect <= ROUNDING_TOL:  # also true for the NaN defect of a non-finite entry
+        raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e} (tol {ROUNDING_TOL:.1e})")
     return m
 
 
@@ -79,41 +85,41 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEigenSystem:
+def hermitian_eig(m: np.ndarray) -> HermitianEigenSystem:
     """Eigendecomposition of a Hermitian matrix with deterministic output.
 
     Eigenvalues come back ascending; each eigenvector is rescaled by a unit
     phase so that its first component of significant magnitude is real and
     positive.  Raises :class:`NotHermitian` when the input deviates from its
-    adjoint by more than ``tol``.
+    adjoint by more than ``ROUNDING_TOL``.
     """
-    m = require_hermitian(m, tol)
+    m = require_hermitian(m)
     vals, vecs = np.linalg.eigh(m)
     vecs = vecs.copy()
     n = m.shape[0]
     for j in range(n):
         col = vecs[:, j]
-        idx = np.argmax(np.abs(col) > 1e-8)
+        idx = np.argmax(np.abs(col) > _PHASE_PIVOT)
         pivot = col[idx]
         if abs(pivot) > 0:
             vecs[:, j] = col * (pivot.conj() / abs(pivot))
     return HermitianEigenSystem(eigenvalues=vals, eigenvectors=vecs)
 
 
-def matrix_log_on_support(m: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def matrix_log_on_support(m: np.ndarray) -> np.ndarray:
     """Base-2 logarithm of a PSD matrix, projected onto its support.
 
-    Eigenvalues below ``-cutoff`` raise :class:`NegativeEigenvalue`;
-    eigenvalues in ``[-cutoff, cutoff]`` are treated as zero and contribute
-    nothing to the result.
+    Eigenvalues below ``-ROUNDING_TOL`` raise :class:`NegativeEigenvalue`;
+    eigenvalues in ``[-ROUNDING_TOL, ROUNDING_TOL]`` are treated as zero and
+    contribute nothing to the result.
     """
     eig = hermitian_eig(m)
     vals = eig.eigenvalues
-    if np.any(vals < -cutoff):
+    if np.any(vals < -ROUNDING_TOL):
         raise NegativeEigenvalue(
-            f"eigenvalue {vals.min():.3e} below -{cutoff:.1e}; matrix is not PSD"
+            f"eigenvalue {vals.min():.3e} below -{ROUNDING_TOL:.1e}; matrix is not PSD"
         )
-    logs = np.where(vals > cutoff, np.log2(np.maximum(vals, cutoff)), 0.0)
+    logs = np.where(vals > ROUNDING_TOL, np.log2(np.maximum(vals, ROUNDING_TOL)), 0.0)
     v = eig.eigenvectors
     return (v * logs) @ v.conj().T
 

@@ -29,18 +29,13 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, DualsDoNotResolveIdentity, SingularBasis
-from .linalg import (
-    PAULIS,
-    bloch_states,
-    hermitian_eig,
-    partial_trace,
-    realign,
-    tensor_product,
-)
+from .linalg import EXACT_TOL, ROUNDING_TOL
+from .linalg import PAULIS, bloch_states, hermitian_eig, partial_trace, realign, tensor_product
 from .measurement import ProjectiveMeasurement
 from .states import KET_0, KET_1, validate_density
 
-MAP_TOL = 1e-10
+#: A basis whose Gram determinant is below this is linearly dependent.
+_SINGULAR_GRAM_DET = 1e-12
 
 SIGMA_1, SIGMA_2, SIGMA_3 = PAULIS
 
@@ -114,11 +109,11 @@ class AssignmentMap:
             for b, q in enumerate(duals):
                 overlap = np.trace(p @ q)
                 target = 1.0 if a == b else 0.0
-                if abs(overlap - target) > 1e-12:
+                if abs(overlap - target) > EXACT_TOL:
                     raise DimensionMismatch(
                         f"Tr[P_{a} Q_{b}] = {overlap:.3e}, expected {target}"
                     )
-        if np.max(np.abs(sum(duals) - np.eye(d))) > 1e-12:
+        if np.max(np.abs(sum(duals) - np.eye(d))) > EXACT_TOL:
             raise DualsDoNotResolveIdentity("duals do not sum to the identity")
         for t in assigned:
             validate_density(t, (t.shape[0],))
@@ -177,12 +172,13 @@ def realign_b_to_a(b: BMap) -> AMap:
     return AMap(b.d, realign(b.tensor))
 
 
-def spectral_decompose(b: BMap, tol: float = MAP_TOL) -> KrausDecomposition:
+def spectral_decompose(b: BMap) -> KrausDecomposition:
     """Eigen-decompose B into weights and reshaped d x d operators.
 
-    The map action is recovered as rho -> sum_a w_a M_a rho M_a^dag.
+    The map action is recovered as rho -> sum_a w_a M_a rho M_a^dag.  B must
+    be Hermitian within ``ROUNDING_TOL``.
     """
-    eig = hermitian_eig(b.tensor, tol)
+    eig = hermitian_eig(b.tensor)
     ops = tuple(eig.eigenvectors[:, j].reshape(b.d, b.d) for j in range(b.d**2))
     return KrausDecomposition(weights=eig.eigenvalues, operators=ops)
 
@@ -192,10 +188,10 @@ def apply_kraus(k: KrausDecomposition, rho: np.ndarray) -> np.ndarray:
     return sum(w * m @ rho @ m.conj().T for w, m in zip(k.weights, k.operators))
 
 
-def classify(b: BMap, tol: float = MAP_TOL) -> MapClass:
-    """CP iff the B spectrum is nonnegative (within ``tol``)."""
-    min_eig = float(hermitian_eig(b.tensor, tol).eigenvalues[0])
-    return MapClass(verdict="CP" if min_eig >= -tol else "NCP", min_eigenvalue=min_eig)
+def classify(b: BMap) -> MapClass:
+    """CP iff the B spectrum is nonnegative within ``ROUNDING_TOL``."""
+    min_eig = float(hermitian_eig(b.tensor).eigenvalues[0])
+    return MapClass(verdict="CP" if min_eig >= -ROUNDING_TOL else "NCP", min_eigenvalue=min_eig)
 
 
 def qubit_basis_P() -> Tuple[np.ndarray, ...]:
@@ -217,13 +213,13 @@ def dual_Q(basis: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
     if len(mats) != d * d:
         raise SingularBasis(f"need {d*d} basis elements to span, got {len(mats)}")
     gram = np.array([[np.trace(p @ q).real for q in mats] for p in mats])
-    if abs(np.linalg.det(gram)) < 1e-12:
+    if abs(np.linalg.det(gram)) < _SINGULAR_GRAM_DET:
         raise SingularBasis("basis Gram matrix is singular")
     inv = np.linalg.inv(gram)
     duals = tuple(
         sum(inv[b, g] * mats[g] for g in range(len(mats))) for b in range(len(mats))
     )
-    if np.max(np.abs(sum(duals) - np.eye(d))) > 1e-12:
+    if np.max(np.abs(sum(duals) - np.eye(d))) > EXACT_TOL:
         raise DualsDoNotResolveIdentity(
             "duals of this basis do not sum to the identity"
         )

@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotResolutionOfIdentity
+from .linalg import ROUNDING_TOL, ZERO_WEIGHT_TOL
 from .linalg import bloch_states, hermitian_eig, hermiticity_defect, partial_trace, tensor_product
 from .states import (
     DensityMatrix,
@@ -27,13 +28,6 @@ from .states import (
     kron_all,
     validate_density,
 )
-
-MEASUREMENT_TOL = 1e-10
-
-#: Outcomes with probability below this are flagged absent; their
-#: conditional state is undefined and they contribute nothing to entropy
-#: averages (the p -> 0 limit of p * S is zero).
-ZERO_OUTCOME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,15 +45,15 @@ class ProjectiveMeasurement:
         for i, pi in enumerate(mats):
             if pi.shape != (d, d):
                 raise DimensionMismatch(f"projector {i} has shape {pi.shape}, expected {(d, d)}")
-            if hermiticity_defect(pi) > MEASUREMENT_TOL:
+            if hermiticity_defect(pi) > ROUNDING_TOL:
                 raise NotHermitian(f"projector {i} is not Hermitian")
-            if np.max(np.abs(pi @ pi - pi)) > MEASUREMENT_TOL:
+            if np.max(np.abs(pi @ pi - pi)) > ROUNDING_TOL:
                 raise ValueError(f"projector {i} is not idempotent")
             for j in range(i):
-                if np.max(np.abs(mats[j] @ pi)) > MEASUREMENT_TOL:
+                if np.max(np.abs(mats[j] @ pi)) > ROUNDING_TOL:
                     raise ValueError(f"projectors {j} and {i} are not orthogonal")
             total += pi
-        if np.max(np.abs(total - np.eye(d))) > MEASUREMENT_TOL:
+        if np.max(np.abs(total - np.eye(d))) > ROUNDING_TOL:
             raise NotResolutionOfIdentity("projectors do not sum to the identity")
         object.__setattr__(self, "projectors", mats)
 
@@ -106,8 +100,8 @@ def _measurement_branches(rho: DensityMatrix, ops: Sequence[np.ndarray]):
 
     Returns (branches, their traces as outcome probabilities, conditional
     states of the remaining subsystems).  A conditional state is ``None``
-    when its outcome vanishes or no subsystem remains; the others are
-    normalized but not validated.
+    when its probability is below ``ZERO_WEIGHT_TOL`` or no subsystem
+    remains; the others are normalized but not validated.
     """
     block = _leading_block(rho.dims, ops[0].shape[0])
     rest = list(range(block, len(rho.dims)))
@@ -119,7 +113,7 @@ def _measurement_branches(rho: DensityMatrix, ops: Sequence[np.ndarray]):
         p = float(branch.trace().real)
         branches.append(branch)
         probs.append(p)
-        vanishes = p < ZERO_OUTCOME_TOL or not rest
+        vanishes = p < ZERO_WEIGHT_TOL or not rest
         conditionals.append(None if vanishes else partial_trace(branch, rho.dims, rest) / p)
     return branches, np.array(probs), conditionals
 
@@ -163,7 +157,7 @@ def apply_povm_elements(rho: DensityMatrix, elements: Sequence[np.ndarray]):
     ops = [np.asarray(v, dtype=complex) for v in elements]
     d = ops[0].shape[0]
     total = sum(v.conj().T @ v for v in ops)
-    if np.max(np.abs(total - np.eye(d))) > MEASUREMENT_TOL:
+    if np.max(np.abs(total - np.eye(d))) > ROUNDING_TOL:
         raise NotResolutionOfIdentity(
             f"sum V^dag V deviates from identity by {np.max(np.abs(total - np.eye(d))):.3e}"
         )
@@ -184,7 +178,7 @@ def _decohere_in_marginal_eigenbases(rho: DensityMatrix):
     eig_b = hermitian_eig(rho.marginal([1]).matrix)
     u = tensor_product(eig_a.eigenvectors, eig_b.eigenvectors)
     joint = np.real(np.diag(u.conj().T @ rho.matrix @ u))
-    keep = np.flatnonzero(joint >= ZERO_OUTCOME_TOL)
+    keep = np.flatnonzero(joint >= ZERO_WEIGHT_TOL)
     i, j = np.divmod(keep, eig_b.eigenvalues.size)
     va, vb = eig_a.eigenvectors, eig_b.eigenvectors
     ensemble = SeparableEnsemble(
@@ -195,7 +189,7 @@ def _decohere_in_marginal_eigenbases(rho: DensityMatrix):
     return ensemble, (eig_a.eigenvalues, eig_b.eigenvalues)
 
 
-def is_insensitive(rho: DensityMatrix, m: ProjectiveMeasurement, tol: float = 1e-10):
+def is_insensitive(rho: DensityMatrix, m: ProjectiveMeasurement, tol: float = ROUNDING_TOL):
     """Whether pinching by ``m`` leaves ``rho`` unchanged within ``tol``.
 
     Returns (flag, Frobenius residual).

@@ -45,7 +45,9 @@ class OptimizerConfig:
     ``grid_resolution`` is the number of theta samples on [0, pi]; phi gets
     twice as many on [0, 2*pi).  ``refine_iterations`` caps the zoom rounds
     (0 keeps the grid winner); the default never binds, since the zoom
-    reaches its width tolerance in 34 rounds.
+    reaches its width tolerance in 34 rounds.  A measure in
+    ``(-tolerance, 0)`` is reported as 0; ``tolerance`` must be positive and
+    finite.  The command line reads its defaults from these fields.
     """
 
     grid_resolution: int = 64
@@ -57,8 +59,8 @@ class OptimizerConfig:
             raise OutOfRange(f"grid_resolution {self.grid_resolution} < 8")
         if self.refine_iterations < 0:
             raise OutOfRange(f"refine_iterations {self.refine_iterations} < 0")
-        if self.tolerance <= 0:
-            raise OutOfRange(f"tolerance {self.tolerance} must be positive")
+        if not 0 < self.tolerance < math.inf:  # also rejects NaN
+            raise OutOfRange(f"tolerance {self.tolerance} must be positive and finite")
 
 
 @dataclass(frozen=True)

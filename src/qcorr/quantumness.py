@@ -26,7 +26,7 @@ from .errors import (
     OutOfRange,
     UnsupportedDimension,
 )
-from .linalg import PAULIS, partial_trace
+from .linalg import PAULIS, ROUNDING_TOL, partial_trace
 from .measurement import (
     ProjectiveMeasurement,
     _measurement_branches,
@@ -41,13 +41,14 @@ from .states import (
     validate_density,
 )
 
+#: A witness counts only when its B marginal is within this of rho_B (Frobenius).
 FEASIBILITY_TOL = 1e-4
-#: A projector counts as rank-1 when its trace is within this of 1.
-_RANK_ONE_TRACE_TOL = 1e-10
+#: A feasible candidate whose bound is below this settles the search at zero.
+_ZERO_BOUND = 1e-12
 
 
 def _is_rank_one(projector: np.ndarray) -> bool:
-    return abs(projector.trace().real - 1.0) <= _RANK_ONE_TRACE_TOL
+    return abs(projector.trace().real - 1.0) <= ROUNDING_TOL
 
 
 def residual_state(rho_ext: DensityMatrix, m: ProjectiveMeasurement) -> DensityMatrix:
@@ -103,7 +104,8 @@ class InsensitivityReport:
 
 def verify_example_insensitivity(p: float) -> InsensitivityReport:
     """Check that the worked extension is untouched by its four-projector
-    measurement and that the residual state reproduces the separable example."""
+    measurement and that the residual state reproduces the separable example
+    (``quantumness_zero``: their divergence is below ``ROUNDING_TOL``)."""
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"mixing weight p={p} outside [0, 1]")
     rho_ext = example_extension(p)
@@ -118,7 +120,7 @@ def verify_example_insensitivity(p: float) -> InsensitivityReport:
         residual_tripartite=res_tri,
         residual_bipartite=res_bi,
         relative_entropy_to_residual=div,
-        quantumness_zero=div < 1e-10,
+        quantumness_zero=div < ROUNDING_TOL,
     )
 
 
@@ -158,14 +160,19 @@ _T_FACTOR = 30.0
 _CENTERING_TOL = 1e-9
 #: A cap on each stage's Newton steps; converging stages take at most about 16.
 _STAGE_STEPS = 50
+#: The backtracking line search gives up once its step factor falls to this.
+_MIN_STEP = 1e-9
+#: :func:`_log_dd2` takes its Taylor series for triples spread by at most this times their mean.
+_TAYLOR_SPREAD = 1e-3
 
 
 def _log_dd1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Divided differences (ln a - ln b) / (a - b) of positive arrays, 1/a at a = b."""
     z = (a - b) / (a + b)
     close = np.abs(z) < 0.5
+    z = np.where(close, z, 0.0)  # far pairs can round to |z| = 1, where artanh is infinite
     ratio = np.ones_like(z)  # ln a - ln b = 2 artanh(z) keeps its digits for close a, b
-    np.divide(np.arctanh(z), z, out=ratio, where=close & (z != 0.0))
+    np.divide(np.arctanh(z), z, out=ratio, where=z != 0.0)
     out = 2.0 * ratio / (a + b)
     np.divide(np.log(a) - np.log(b), a - b, out=out, where=~close)
     return out
@@ -181,7 +188,7 @@ def _log_dd2(lam: np.ndarray) -> np.ndarray:
     # the Taylor series about the mean.
     d = (np.stack([lo, mid, hi]) - mean) / mean
     out = (-0.5 - np.sum(d**2, axis=0) / 8.0 + np.sum(d**3, axis=0) / 15.0) / mean**2
-    np.divide(_log_dd1(hi, mid) - _log_dd1(lo, mid), hi - lo, out=out, where=hi - lo > 1e-3 * mean)
+    np.divide(_log_dd1(hi, mid) - _log_dd1(lo, mid), hi - lo, out=out, where=hi - lo > _TAYLOR_SPREAD * mean)
     return out
 
 
@@ -252,7 +259,7 @@ def _ppt_minimizer(rho4: np.ndarray, rho_b: np.ndarray) -> np.ndarray | None:
             previous, alpha = decrement, 1.0
             trial = _barrier_point(x + step, t, base, weights)
             if decrement >= 0.25 or trial is None:
-                while alpha > 1e-9 and (trial is None or trial[0] > value - 0.25 * alpha * decrement):
+                while alpha > _MIN_STEP and (trial is None or trial[0] > value - 0.25 * alpha * decrement):
                     alpha *= 0.5
                     trial = _barrier_point(x + alpha * step, t, base, weights)
                 if trial is None or trial[0] > value - 0.25 * alpha * decrement:
@@ -312,31 +319,18 @@ def _product_decomposition(sigma: np.ndarray) -> SeparableEnsemble:
     )
 
 
-def quantumness_upper_bound(
-    rho: DensityMatrix,
-    terms: int = 8,
-    restarts: int = 8,
-    seed: int = 0,
-    witness: SeparableEnsemble | None = None,
-) -> QuantumnessEstimate:
+def quantumness_upper_bound(rho: DensityMatrix, witness: SeparableEnsemble | None = None) -> QuantumnessEstimate:
     """Divergence from rho to the closest separable state sharing rho_B, with its witness.
 
     Candidates, in order: the caller-supplied or construction-time witness
-    evaluated directly (a zero bound ends the call); the product of
-    marginals (zero for a rank-1 rho_B, where rho is a product); the PPT
-    minimizer split into at most four product terms.  Only candidates whose
-    witness reproduces the B marginal within ``FEASIBILITY_TOL``
-    (Frobenius) count; the smallest divergence among them is returned.
-    ``terms`` (at least 4), ``restarts`` and ``seed`` (non-negative) are
-    range-checked but do not change a two-qubit result.
+    evaluated directly; the product of marginals (zero for a rank-1 rho_B,
+    where rho is a product); the PPT minimizer split into at most four
+    product terms.  A feasible bound below ``_ZERO_BOUND`` ends the call.
+    Only candidates whose witness reproduces the B marginal within
+    ``FEASIBILITY_TOL`` count; the smallest divergence among them is returned.
     """
     if tuple(rho.dims) != (2, 2):
         raise UnsupportedDimension(f"estimator supports dims (2, 2); got {tuple(rho.dims)}")
-    if terms < 4:
-        raise OutOfRange(f"terms={terms} must be at least 4")
-    for name, value in (("restarts", restarts), ("seed", seed)):
-        if value < 0:
-            raise OutOfRange(f"{name}={value} must be non-negative")
 
     rho_b = rho.marginal([1]).matrix
     candidates: list[tuple[float, float, SeparableEnsemble]] = []
@@ -347,7 +341,7 @@ def quantumness_upper_bound(
         bound = relative_entropy(rho.matrix, sigma)
         residual = float(np.linalg.norm(partial_trace(sigma, (2, 2), [1]) - rho_b))
         candidates.append((bound, residual, ensemble))
-        return bound < 1e-12 and residual < FEASIBILITY_TOL
+        return bound < _ZERO_BOUND and residual < FEASIBILITY_TOL
 
     direct = witness if witness is not None else rho.witness
     done = add_candidate(direct) if direct is not None else False

@@ -8,9 +8,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotDensity, NotProbability, OutOfRange
+from .linalg import EXACT_TOL, ROUNDING_TOL, ZERO_WEIGHT_TOL
 from .linalg import hermitian_eig, hermiticity_defect, partial_trace, tensor_product
-
-VALIDATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -22,8 +21,8 @@ class Ket:
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-12:
-            raise NotDensity(f"ket norm {norm} deviates from 1 beyond 1e-12")
+        if abs(norm - 1.0) > EXACT_TOL:
+            raise NotDensity(f"ket norm {norm} deviates from 1 beyond {EXACT_TOL:g}")
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -69,7 +68,7 @@ class SeparableEnsemble:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-10:
+        if np.any(w < -ZERO_WEIGHT_TOL) or abs(w.sum() - 1.0) > ROUNDING_TOL:
             raise NotProbability(f"ensemble weights sum to {w.sum()}")
         object.__setattr__(self, "weights", w)
 
@@ -110,12 +109,12 @@ class DensityMatrix:
 
 
 def validate_density(
-    m: np.ndarray, dims: Sequence[int], tol: float = VALIDATION_TOL,
-    witness: Optional[SeparableEnsemble] = None,
+    m: np.ndarray, dims: Sequence[int], witness: Optional[SeparableEnsemble] = None
 ) -> DensityMatrix:
     """Check the density-matrix invariants and return a clean state.
 
-    Eigenvalues in ``(-tol, 0)`` are clipped to zero and the matrix is
+    Hermiticity and unit trace must hold within ``ROUNDING_TOL``.
+    Eigenvalues in ``(-ROUNDING_TOL, 0)`` are clipped to zero and the matrix is
     renormalized to unit trace; anything worse, or any NaN or infinite
     entry, raises :class:`NotDensity`.
     """
@@ -129,16 +128,16 @@ def validate_density(
         raise DimensionMismatch(f"dims {dims} do not match matrix side {m.shape[0]}")
 
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotDensity(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > ROUNDING_TOL:
+        raise NotDensity(f"Hermiticity defect {defect:.3e} exceeds {ROUNDING_TOL:.1e}")
     trace = m.trace().real
-    if abs(trace - 1.0) > tol:
-        raise NotDensity(f"trace {trace} deviates from 1 beyond {tol:.1e}")
+    if abs(trace - 1.0) > ROUNDING_TOL:
+        raise NotDensity(f"trace {trace} deviates from 1 beyond {ROUNDING_TOL:.1e}")
 
-    eig = hermitian_eig(m, tol)
+    eig = hermitian_eig(m)
     vals = eig.eigenvalues
-    if vals.min() < -tol:
-        raise NotDensity(f"eigenvalue {vals.min():.3e} below -{tol:.1e}")
+    if vals.min() < -ROUNDING_TOL:
+        raise NotDensity(f"eigenvalue {vals.min():.3e} below -{ROUNDING_TOL:.1e}")
     if vals.min() < 0.0:
         clipped = np.maximum(vals, 0.0)
         v = eig.eigenvectors
@@ -166,11 +165,11 @@ def example_separable(p: float) -> DensityMatrix:
     matrix = p * zz + (1.0 - p) * pp
 
     weights, a_states, b_states = [], [], []
-    if p > 1e-12:
+    if p > ZERO_WEIGHT_TOL:
         weights.append(p)
         a_states.append(KET_0.projector())
         b_states.append(KET_0.projector())
-    if 1.0 - p > 1e-12:
+    if 1.0 - p > ZERO_WEIGHT_TOL:
         weights.append(1.0 - p)
         a_states.append(KET_PLUS.projector())
         b_states.append(KET_PLUS.projector())
@@ -209,7 +208,7 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
         )
     ranks = np.array([pi.trace().real for pi in proj_list])
     traces = w * ranks
-    if np.any(traces < -1e-12) or abs(traces.sum() - 1.0) > 1e-10:
+    if np.any(traces < -ZERO_WEIGHT_TOL) or abs(traces.sum() - 1.0) > ROUNDING_TOL:
         raise NotProbability(f"term traces q_a Tr P_a sum to {traces.sum()}")
 
     d_a = proj_list[0].shape[0]
@@ -217,7 +216,7 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
     matrix = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
     weights_out, a_out, b_out = [], [], []
     for q, rank, pi, tau in zip(w, ranks, proj_list, state_list):
-        if q <= 1e-12:
+        if q <= ZERO_WEIGHT_TOL:
             continue
         matrix += q * tensor_product(pi, tau)
         weights_out.append(q * rank)

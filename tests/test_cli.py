@@ -192,6 +192,22 @@ class TestRejectsInvalidInput:
         assert main(["measures", bell_file, "--refine", "-5"]) == 5
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("cell", [{"0": 1}, [1, 0, 99], [True, False], [1], "1", None])
+    def test_cell_that_is_not_a_number_pair_exits_2(self, tmp_path, capsys, cell):
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps({"dims": [1], "matrix": [[cell]]}))  # [[[1, 0]]] is a valid state
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[re, im] pairs" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_5(self, bell_file, capsys, tol):
+        assert main(["measures", bell_file, "--tol", tol]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range" in captured.err
+
     @pytest.mark.parametrize("flag", [["--restarts", "-3"], ["--seed", "-1"], ["--terms", "3"]])
     def test_quantumness_out_of_range_exits_5(self, bell_file, capsys, flag):
         assert main(["quantumness", bell_file, *flag]) == 5

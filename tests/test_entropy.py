@@ -141,37 +141,36 @@ def test_relative_entropy_rejects_non_psd_reference():
 
 
 class TestBatchedRelativeEntropyKernel:
-    """``_relative_entropy_kernel`` on one reference per call: full-rank, rank-deficient, non-PSD."""
+    """``relative_entropy`` against three reference kinds: full-rank, rank-deficient, non-PSD."""
 
     # r has no weight on |11>, so a reference whose negative eigenvector is
     # |11> does not leak and must be reported as not PSD.
     R = np.diag([0.4, 0.3, 0.3, 0.0]).astype(complex)
 
-    def _kernel(self, sigma):
-        from qcorr.entropy import _relative_entropy_kernel
-
-        return _relative_entropy_kernel(self.R, von_neumann_entropy(self.R), sigma)
+    def _direct(self, sigma):
+        """-S(r) - Tr[r log2 sigma] for a full-rank sigma, from its own eigendecomposition."""
+        vals, vecs = np.linalg.eigh(sigma)
+        log_sigma = (vecs * np.log2(vals)) @ vecs.conj().T
+        return -von_neumann_entropy(self.R) - np.trace(self.R @ log_sigma).real
 
     def test_rows_match_relative_entropy(self):
         full_rank = [random_density((2, 2), 300 + i).matrix for i in range(6)]
         for sigma in full_rank:
-            assert abs(self._kernel(sigma) - relative_entropy(self.R, sigma)) <= 1e-12
+            assert abs(relative_entropy(self.R, sigma) - self._direct(sigma)) <= 1e-12
         rank_deficient = np.diag([0.0, 0.5, 0.3, 0.2]).astype(complex)  # r leaks along |00>
         leaking_non_psd = np.diag([-0.01, 0.5, 0.3, 0.21]).astype(complex)
         for sigma in (rank_deficient, leaking_non_psd):
-            assert math.isinf(self._kernel(sigma)) and math.isinf(relative_entropy(self.R, sigma))
+            assert math.isinf(relative_entropy(self.R, sigma))
 
     def test_single_reference_gives_a_float(self):
         sigma = random_density((2, 2), 310).matrix
-        value = self._kernel(sigma)
+        value = relative_entropy(self.R, sigma)
         assert isinstance(value, float)
-        assert value == relative_entropy(self.R, sigma)
+        assert value == pytest.approx(self._direct(sigma), abs=1e-12)
 
     def test_non_psd_row_raises(self):
         from qcorr.errors import NegativeEigenvalue
 
         non_psd = np.diag([0.5, 0.3, 0.21, -0.01]).astype(complex)
-        with pytest.raises(NegativeEigenvalue):
-            self._kernel(non_psd)
         with pytest.raises(NegativeEigenvalue):
             relative_entropy(self.R, non_psd)

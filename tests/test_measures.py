@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,9 @@ class TestOptimizerBehaviour:
             OptimizerConfig(grid_resolution=4)
         with pytest.raises(OutOfRange):
             OptimizerConfig(tolerance=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(OutOfRange):
+                OptimizerConfig(tolerance=bad)
 
     def test_deterministic_argmax(self):
         rho = random_density((2, 2), 123)

@@ -52,7 +52,7 @@ def test_quantumness_vanishes_exactly_on_separable_states(kind, seed):
     for every PPT sigma.
     """
     rho = validate_density(BUILDERS[kind](seed).matrix, (2, 2))  # drop any built-in witness
-    bound = quantumness_upper_bound(rho, restarts=0).upper_bound
+    bound = quantumness_upper_bound(rho).upper_bound
     lam = np.linalg.eigvalsh(rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))[0]
     if lam >= 0.0:
         assert bound <= 1e-9
