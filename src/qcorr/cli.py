@@ -10,7 +10,8 @@ machine-readable report.  Diagnostics always go to stderr, and stdout
 stays silent on failure.
 
 Exit codes: 0 ok, 2 parse error, 3 validation failure, 4 unsupported
-dimensions, 5 argument out of range, 6 no feasible witness.
+dimensions, 5 argument out of range.  Exit 6 (no feasible witness) is no
+longer produced: every two-qubit input has one.
 """
 
 from __future__ import annotations
@@ -18,17 +19,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
 
-from .errors import (
-    NoFeasibleWitness,
-    NotDensity,
-    OutOfRange,
-    QcorrError,
-    UnsupportedDimension,
-)
+from .errors import NotDensity, OutOfRange, QcorrError, UnsupportedDimension
 from .linalg import hermitian_eig
 from .maps import apply_amap, build_measurement_maps, classify, example_assignment
 from .measurement import example_extension_measurement
@@ -41,7 +37,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_DIMENSION = 4
 EXIT_RANGE = 5
-EXIT_NO_WITNESS = 6
 
 
 class ParseFailure(Exception):
@@ -81,12 +76,12 @@ def load_state_file(path: str) -> tuple[DensityMatrix, str]:
     if not isinstance(payload, dict) or "dims" not in payload or "matrix" not in payload:
         raise ParseFailure(f"{path}: expected an object with 'dims' and 'matrix'")
     dims = payload["dims"]
-    if not isinstance(dims, list) or not all(
+    if not isinstance(dims, list) or not dims or not all(
         isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in dims
     ):
-        raise ParseFailure(f"{path}: 'dims' must be a list of positive integers")
+        raise ParseFailure(f"{path}: 'dims' must be a non-empty list of positive integers")
     rows = payload["matrix"]
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     try:
         matrix = np.array([[_complex_cell(cell) for cell in row] for row in rows], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -267,9 +262,6 @@ def main(argv=None) -> int:
     except OutOfRange as exc:
         print(f"argument out of range: {exc}", file=sys.stderr)
         return EXIT_RANGE
-    except NoFeasibleWitness as exc:
-        print(f"no feasible witness: {exc}", file=sys.stderr)
-        return EXIT_NO_WITNESS
     except QcorrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

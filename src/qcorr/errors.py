@@ -49,10 +49,6 @@ class NotRankOne(QcorrError):
     """Projector set contains an element of rank greater than one."""
 
 
-class NoFeasibleWitness(QcorrError):
-    """No separable witness met the marginal feasibility target."""
-
-
 class DegenerateMarginalWarning(UserWarning):
     """A marginal spectrum is (near-)degenerate; its eigenprojectors are
     fixed by the deterministic eigen-ordering rather than by physics."""

@@ -7,6 +7,7 @@ throughout, so every derived entropy is reported in bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,6 +28,9 @@ _PHASE_PIVOT = 1e-8
 
 #: The Pauli matrices sigma_x, sigma_y, sigma_z, stacked along the first axis.
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+#: The two-qubit Pauli products sigma_mu (x) sigma_nu at index 4 mu + nu, with
+#: sigma_0 = I, shape (16, 4, 4).
+PAULI_PRODUCTS = np.array([np.kron(a, b) for a in (np.eye(2), *PAULIS) for b in (np.eye(2), *PAULIS)])
 
 
 @dataclass(frozen=True)
@@ -137,9 +141,9 @@ def partial_trace(
     dims = tuple(int(d) for d in dims)
     keep = sorted(set(int(k) for k in keep))
     n = len(dims)
-    if int(np.prod(dims)) != m.shape[0]:
+    if math.prod(dims) != m.shape[0]:
         raise DimensionMismatch(
-            f"dims {dims} imply total dimension {int(np.prod(dims))}, matrix has {m.shape[0]}"
+            f"dims {dims} imply total dimension {math.prod(dims)}, matrix has {m.shape[0]}"
         )
     if not keep:
         raise DimensionMismatch("keep must name at least one subsystem")
@@ -154,7 +158,7 @@ def partial_trace(
     # disappear.
     for i in sorted((i for i in range(n) if i not in keep), reverse=True):
         tensor = np.trace(tensor, axis1=i, axis2=i + tensor.ndim // 2)
-    d_keep = int(np.prod([dims[i] for i in keep]))
+    d_keep = math.prod(dims[i] for i in keep)
     return tensor.reshape(d_keep, d_keep)
 
 

@@ -30,42 +30,34 @@ import numpy as np
 
 from .errors import DimensionMismatch, DualsDoNotResolveIdentity, SingularBasis
 from .linalg import EXACT_TOL, ROUNDING_TOL
-from .linalg import PAULIS, bloch_states, hermitian_eig, partial_trace, realign, tensor_product
+from .linalg import bloch_states, hermitian_eig, partial_trace, realign, tensor_product
 from .measurement import ProjectiveMeasurement
 from .states import KET_0, KET_1, validate_density
 
 #: A basis whose Gram determinant is below this is linearly dependent.
 _SINGULAR_GRAM_DET = 1e-12
 
-SIGMA_1, SIGMA_2, SIGMA_3 = PAULIS
-
 
 @dataclass(frozen=True)
-class AMap:
+class _MapMatrix:
+    """A complex d^2 x d^2 map matrix in one of the two arrangements."""
+
+    d: int
+    tensor: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.tensor, dtype=complex)
+        if t.shape != (self.d**2, self.d**2):
+            raise DimensionMismatch(f"expected shape {(self.d**2,) * 2}, got {t.shape}")
+        object.__setattr__(self, "tensor", t)
+
+
+class AMap(_MapMatrix):
     """Map matrix acting on row-major flattened density matrices."""
 
-    d: int
-    tensor: np.ndarray
 
-    def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=complex)
-        if t.shape != (self.d**2, self.d**2):
-            raise DimensionMismatch(f"expected shape {(self.d**2,) * 2}, got {t.shape}")
-        object.__setattr__(self, "tensor", t)
-
-
-@dataclass(frozen=True)
-class BMap:
+class BMap(_MapMatrix):
     """Realigned map matrix; Hermitian whenever the map preserves Hermiticity."""
-
-    d: int
-    tensor: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=complex)
-        if t.shape != (self.d**2, self.d**2):
-            raise DimensionMismatch(f"expected shape {(self.d**2,) * 2}, got {t.shape}")
-        object.__setattr__(self, "tensor", t)
 
 
 @dataclass(frozen=True)

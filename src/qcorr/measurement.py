@@ -105,7 +105,7 @@ def _measurement_branches(rho: DensityMatrix, ops: Sequence[np.ndarray]):
     """
     block = _leading_block(rho.dims, ops[0].shape[0])
     rest = list(range(block, len(rho.dims)))
-    eye_rest = np.eye(int(np.prod(rho.dims[block:], initial=1)), dtype=complex)
+    eye_rest = np.eye(math.prod(rho.dims[block:]), dtype=complex)
     branches, probs, conditionals = [], [], []
     for v in ops:
         e = tensor_product(v, eye_rest)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .entropy import mutual_information, relative_entropy, von_neumann_entropy
 from .errors import DegenerateMarginalWarning, DimensionMismatch, OutOfRange, UnsupportedDimension
-from .linalg import PAULIS
+from .linalg import PAULI_PRODUCTS
 from .measurement import (
     ProjectiveMeasurement,
     _decohere_in_marginal_eigenbases,
@@ -100,15 +100,10 @@ class MeasureReport:
 # round so that both stages evaluate identical algebra).
 # ---------------------------------------------------------------------------
 
-#: Row (mu, nu) is sigma_mu (x) sigma_nu flattened, with sigma_0 = I, so that
-#: _PAULI_PAIRS @ rho.T.ravel() lists the Fano coordinates Tr[(sigma_mu (x) sigma_nu) rho].
-_SIGMA = (np.eye(2), *PAULIS)
-_PAULI_PAIRS = np.array([np.kron(a, b).ravel() for a in _SIGMA for b in _SIGMA])
-
-
 def _fano_matrix(rho4: np.ndarray) -> np.ndarray:
     """The 4x4 real matrix T[mu, nu] = Tr[(sigma_mu (x) sigma_nu) rho], sigma_0 = I."""
-    return (_PAULI_PAIRS @ rho4.T.ravel()).real.reshape(4, 4)
+    # Row 4 mu + nu of the flattened products dotted with rho^T flattened is that trace.
+    return (PAULI_PRODUCTS.reshape(16, 16) @ rho4.T.ravel()).real.reshape(4, 4)
 
 
 def _bloch_statistics(fano: np.ndarray, theta: np.ndarray, phi: np.ndarray):

@@ -19,19 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import relative_entropy
-from .errors import (
-    DimensionMismatch,
-    NoFeasibleWitness,
-    NotRankOne,
-    OutOfRange,
-    UnsupportedDimension,
-)
-from .linalg import PAULIS, ROUNDING_TOL, partial_trace
+from .errors import DimensionMismatch, NotRankOne, OutOfRange, UnsupportedDimension
+from .linalg import PAULI_PRODUCTS, PAULIS, ROUNDING_TOL, partial_trace
 from .measurement import (
     ProjectiveMeasurement,
     _measurement_branches,
     example_extension_measurement,
-    pinch,
+    is_insensitive,
 )
 from .states import (
     DensityMatrix,
@@ -41,9 +35,7 @@ from .states import (
     validate_density,
 )
 
-#: A witness counts only when its B marginal is within this of rho_B (Frobenius).
-FEASIBILITY_TOL = 1e-4
-#: A feasible candidate whose bound is below this settles the search at zero.
+#: A candidate whose bound is below this settles the search at zero.
 _ZERO_BOUND = 1e-12
 
 
@@ -110,8 +102,7 @@ def verify_example_insensitivity(p: float) -> InsensitivityReport:
         raise OutOfRange(f"mixing weight p={p} outside [0, 1]")
     rho_ext = example_extension(p)
     m = example_extension_measurement()
-    pinched = pinch(rho_ext, m)
-    res_tri = float(np.linalg.norm(pinched.matrix - rho_ext.matrix))
+    res_tri = is_insensitive(rho_ext, m)[1]
     rho_ab = example_separable(p)
     residual = residual_state(rho_ext, m)
     res_bi = float(np.linalg.norm(residual.matrix - rho_ab.matrix))
@@ -129,9 +120,11 @@ class QuantumnessEstimate:
     """The distance to the separable set, with a witness that attains it.
 
     ``upper_bound`` is D(rho || witness.assemble()) in bits: for two qubits
-    the minimum, up to the solver's gap.  ``restarts_used`` counts candidate
-    witnesses, not restarts: the direct witness when there is one, the
-    product of marginals and the solver's witness, up to the first zero bound.
+    the minimum, up to the solver's gap.  ``marginal_residual`` is the
+    Frobenius distance from the witness's B marginal to rho_B: rounding
+    error only.  ``restarts_used`` counts candidate witnesses, not
+    restarts: the direct witness when there is one, the product of marginals
+    and the solver's witness, up to the first zero bound.
     """
 
     upper_bound: float
@@ -149,7 +142,7 @@ class QuantumnessEstimate:
 # x = 0 is strictly feasible when rho_B is full rank.
 # ---------------------------------------------------------------------------
 
-_E = np.array([np.kron(p, q) for p in PAULIS for q in (np.eye(2), *PAULIS)]) / 4
+_E = PAULI_PRODUCTS[4:] / 4
 #: The directions E_k and their partial transposes on B, shape (2, 12, 4, 4).
 _DIRECTIONS = np.stack([_E, _E.reshape(12, 2, 2, 2, 2).swapaxes(2, 4).reshape(12, 4, 4)])
 #: The solve stops once the barrier's duality gap 8/t (nats) is below this.
@@ -319,50 +312,48 @@ def _product_decomposition(sigma: np.ndarray) -> SeparableEnsemble:
     )
 
 
+def _candidates(rho: DensityMatrix, rho_b: np.ndarray, direct: SeparableEnsemble | None):
+    """Witnesses in the order they are tried; the solver runs only if the earlier ones are not zero."""
+    if direct is not None:
+        yield direct
+    yield SeparableEnsemble(np.array([1.0]), (rho.marginal([0]).matrix,), (rho_b,))
+    sigma = _ppt_minimizer(rho.matrix, rho_b)
+    if sigma is not None:
+        yield _product_decomposition(sigma)
+
+
 def quantumness_upper_bound(rho: DensityMatrix, witness: SeparableEnsemble | None = None) -> QuantumnessEstimate:
     """Divergence from rho to the closest separable state sharing rho_B, with its witness.
 
     Candidates, in order: the caller-supplied or construction-time witness
     evaluated directly; the product of marginals (zero for a rank-1 rho_B,
     where rho is a product); the PPT minimizer split into at most four
-    product terms.  A feasible bound below ``_ZERO_BOUND`` ends the call.
-    Only candidates whose witness reproduces the B marginal within
-    ``FEASIBILITY_TOL`` count; the smallest divergence among them is returned.
+    product terms.  A bound below ``_ZERO_BOUND`` ends the call; the
+    smallest divergence among the candidates tried is returned.  The last
+    two meet rho_B by construction; a direct witness whose B marginal is
+    off by more than ``ROUNDING_TOL`` (Frobenius) raises
+    :class:`DimensionMismatch`.
     """
     if tuple(rho.dims) != (2, 2):
         raise UnsupportedDimension(f"estimator supports dims (2, 2); got {tuple(rho.dims)}")
 
     rho_b = rho.marginal([1]).matrix
-    candidates: list[tuple[float, float, SeparableEnsemble]] = []
-
-    def add_candidate(ensemble: SeparableEnsemble) -> bool:
-        """Record a candidate; True once a feasible zero bound exists."""
-        sigma = ensemble.assemble()
-        bound = relative_entropy(rho.matrix, sigma)
-        residual = float(np.linalg.norm(partial_trace(sigma, (2, 2), [1]) - rho_b))
-        candidates.append((bound, residual, ensemble))
-        return bound < _ZERO_BOUND and residual < FEASIBILITY_TOL
-
     direct = witness if witness is not None else rho.witness
-    done = add_candidate(direct) if direct is not None else False
-    done = done or add_candidate(
-        SeparableEnsemble(np.array([1.0]), (rho.marginal([0]).matrix,), (rho_b,))
-    )
-    if not done:
-        sigma = _ppt_minimizer(rho.matrix, rho_b)
-        if sigma is not None:
-            add_candidate(_product_decomposition(sigma))
+    tried: list[tuple[float, float, SeparableEnsemble]] = []
+    for ensemble in _candidates(rho, rho_b, direct):
+        sigma = ensemble.assemble()
+        residual = float(np.linalg.norm(partial_trace(sigma, (2, 2), [1]) - rho_b))
+        if ensemble is direct and residual > ROUNDING_TOL:
+            raise DimensionMismatch(f"witness B marginal is off by {residual:.3e} (tol {ROUNDING_TOL:.1e})")
+        bound = relative_entropy(rho.matrix, sigma)
+        tried.append((bound, residual, ensemble))
+        if bound < _ZERO_BOUND:
+            break
 
-    feasible = [c for c in candidates if c[1] < FEASIBILITY_TOL and not math.isinf(c[0])]
-    if not feasible:
-        raise NoFeasibleWitness(
-            f"no witness reached marginal residual < {FEASIBILITY_TOL} in "
-            f"{len(candidates)} attempts"
-        )
-    best_bound, best_residual, best_ensemble = min(feasible, key=lambda c: c[0])
+    best_bound, best_residual, best_ensemble = min(tried, key=lambda c: c[0])
     return QuantumnessEstimate(
         upper_bound=best_bound,
         witness=best_ensemble,
         marginal_residual=best_residual,
-        restarts_used=len(candidates),
+        restarts_used=len(tried),
     )

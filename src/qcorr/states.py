@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -124,7 +125,7 @@ def validate_density(
     dims = tuple(int(d) for d in dims)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if int(np.prod(dims)) != m.shape[0]:
+    if math.prod(dims) != m.shape[0]:
         raise DimensionMismatch(f"dims {dims} do not match matrix side {m.shape[0]}")
 
     defect = hermiticity_defect(m)
@@ -229,7 +230,7 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
 def random_density(dims: Sequence[int], seed: int) -> DensityMatrix:
     """Seeded Wishart-style random state: G G^dag normalized to unit trace."""
     dims = tuple(int(d) for d in dims)
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     if n > 8:
         raise DimensionMismatch(f"total dimension {n} exceeds the supported maximum of 8")
     rng = np.random.default_rng(seed)

@@ -188,6 +188,14 @@ class TestRejectsInvalidInput:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
+    # Each matrix matches a naive dims product: the empty product is 1, and
+    # 3 * 6148914691236517206 wraps around to 2 in int64 arithmetic.
+    @pytest.mark.parametrize("dims, side", [([], 1), ([3, 6148914691236517206], 2)])
+    def test_empty_or_overflowing_dims_exit_2(self, tmp_path, capsys, dims, side):
+        path = write_state(tmp_path / "dims.json", dims, np.eye(side) / side)
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_negative_refine_exits_5(self, bell_file, capsys):
         assert main(["measures", bell_file, "--refine", "-5"]) == 5
         assert capsys.readouterr().out == ""

@@ -20,8 +20,8 @@ from qcorr import (
     spectral_decompose,
 )
 from qcorr.errors import DualsDoNotResolveIdentity, SingularBasis
-from qcorr.linalg import partial_trace
-from qcorr.maps import SIGMA_1, SIGMA_2, SIGMA_3, AssignmentMap, apply_kraus
+from qcorr.linalg import PAULIS, partial_trace
+from qcorr.maps import AssignmentMap, apply_kraus
 from qcorr.measurement import ProjectiveMeasurement
 
 KNOWN_B = np.array(
@@ -98,13 +98,13 @@ class TestDualQ:
     def test_rejects_dependent_basis(self):
         eye = np.eye(2, dtype=complex)
         with pytest.raises(SingularBasis):
-            dual_Q((eye, 2 * eye, SIGMA_1, SIGMA_2))
+            dual_Q((eye, 2 * eye, PAULIS[0], PAULIS[1]))
 
     def test_rejects_basis_without_identity_resolution(self):
         # Pauli basis spans, but its duals sum to (I + sigma_1 + sigma_2 + sigma_3)/2
         eye = np.eye(2, dtype=complex)
         with pytest.raises(DualsDoNotResolveIdentity):
-            dual_Q((eye, SIGMA_1, SIGMA_2, SIGMA_3))
+            dual_Q((eye, *PAULIS))
 
 
 class TestAssignment:
@@ -139,7 +139,7 @@ class TestApplyAmap:
 
     def test_known_map_erases_sigma2_component(self):
         a = AMap(2, KNOWN_A)
-        rho = 0.5 * (np.eye(2) + SIGMA_2)
+        rho = 0.5 * (np.eye(2) + PAULIS[1])
         assert np.max(np.abs(apply_amap(a, rho) - np.eye(2) / 2)) < 1e-14
 
     def test_identity_map(self):

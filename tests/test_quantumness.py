@@ -125,6 +125,13 @@ class TestQuantumnessUpperBound:
         estimate = quantumness_upper_bound(bare, witness=handed)
         assert estimate.upper_bound < 1e-10
 
+    def test_witness_with_wrong_marginal_is_rejected(self):
+        bare = validate_density(example_separable(0.5).matrix, (2, 2))
+        zero, one = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        handed = SeparableEnsemble(np.array([1.0]), (zero,), (one,))
+        with pytest.raises(DimensionMismatch):
+            quantumness_upper_bound(bare, witness=handed)
+
     def test_input_validation(self):
         with pytest.raises(UnsupportedDimension):
             quantumness_upper_bound(random_density((2, 4), 0))
@@ -145,13 +152,23 @@ class TestCertifiedLowerBound:
         estimate = quantumness_upper_bound(rho)
         assert estimate.upper_bound >= von_neumann_entropy(rho.marginal([0])) - 1e-9
 
-    @pytest.mark.parametrize("angle", [1e-5, 1e-6])
+    @pytest.mark.parametrize("angle", [1e-3, 1e-5, 1e-6])
     def test_tiny_schmidt_weight_matches_entanglement_entropy(self, angle):
         # Schmidt weight angle^2 sits below the support cutoff of the optimal
         # witness, and eigenvalue pairs far apart round artanh's argument to 1.
         rho = _two_qubit_pure(angle)
         exact = von_neumann_entropy(rho.marginal([0]))
         assert exact - 1e-12 <= quantumness_upper_bound(rho).upper_bound <= exact + 1e-10
+
+    def test_infinite_product_candidate_loses_to_the_solver(self):
+        # rho_A (x) rho_B has eigenvalue angle^4 = 1e-12, which counts as
+        # kernel, while rho puts weight 1e-6 there: that candidate is infinite.
+        rho = _two_qubit_pure(1e-3)
+        marginals = np.kron(rho.marginal([0]).matrix, rho.marginal([1]).matrix)
+        assert relative_entropy(rho.matrix, marginals) == np.inf
+        estimate = quantumness_upper_bound(rho)
+        assert estimate.restarts_used == 2
+        assert abs(estimate.upper_bound - von_neumann_entropy(rho.marginal([0]))) < 3e-13
 
     @pytest.mark.parametrize("seed", [41, 42, 43, 44])
     def test_at_least_coherent_information(self, seed):

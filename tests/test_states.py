@@ -32,6 +32,10 @@ class TestValidateDensity:
         with pytest.raises(DimensionMismatch):
             validate_density(np.eye(4) / 4, (2, 3))
 
+    def test_rejects_dims_whose_product_overflows_int64(self):
+        with pytest.raises(DimensionMismatch):
+            validate_density(np.eye(2) / 2, (3, 6148914691236517206))
+
     def test_accepts_expanded_mixture(self):
         # direct expansion of 0.3 |00><00| + 0.7 |++><++|
         expected = np.full((4, 4), 0.7 * 0.25, dtype=complex)
