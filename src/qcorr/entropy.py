@@ -22,9 +22,9 @@ SUPPORT_LEAK_TOL = 1e-8
 def _check_probability_vector(p: np.ndarray) -> np.ndarray:
     """``p`` flattened, with rounding negatives (down to ``-ZERO_WEIGHT_TOL``) set to 0."""
     p = np.asarray(p, dtype=float).reshape(-1)
-    if np.any(p < -ZERO_WEIGHT_TOL):
-        raise NotProbability(f"negative entry {p.min()}")
-    if abs(p.sum() - 1.0) > EXACT_TOL:
+    if not np.all(p >= -ZERO_WEIGHT_TOL):  # also true for a NaN entry
+        raise NotProbability(f"negative or NaN entry {p.min()}")
+    if not abs(p.sum() - 1.0) <= EXACT_TOL:
         raise NotProbability(f"entries sum to {p.sum()}")
     return np.maximum(p, 0.0)
 

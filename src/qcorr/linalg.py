@@ -128,6 +128,15 @@ def matrix_log_on_support(m: np.ndarray) -> np.ndarray:
     return (v * logs) @ v.conj().T
 
 
+def subsystem_dims(dims: Iterable[int]) -> tuple:
+    """``dims`` as a tuple of ints; :class:`DimensionMismatch` unless it
+    names at least one subsystem and every dimension is positive."""
+    dims = tuple(int(d) for d in dims)
+    if not dims or min(dims) < 1:
+        raise DimensionMismatch(f"dims {dims} must name at least one subsystem, each of dimension >= 1")
+    return dims
+
+
 def partial_trace(
     m: np.ndarray, dims: Iterable[int], keep: Iterable[int]
 ) -> np.ndarray:
@@ -138,7 +147,7 @@ def partial_trace(
     survive, in their original order.
     """
     m = _as_square(m)
-    dims = tuple(int(d) for d in dims)
+    dims = subsystem_dims(dims)
     keep = sorted(set(int(k) for k in keep))
     n = len(dims)
     if math.prod(dims) != m.shape[0]:

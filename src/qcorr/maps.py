@@ -101,11 +101,11 @@ class AssignmentMap:
             for b, q in enumerate(duals):
                 overlap = np.trace(p @ q)
                 target = 1.0 if a == b else 0.0
-                if abs(overlap - target) > EXACT_TOL:
+                if not abs(overlap - target) <= EXACT_TOL:
                     raise DimensionMismatch(
                         f"Tr[P_{a} Q_{b}] = {overlap:.3e}, expected {target}"
                     )
-        if np.max(np.abs(sum(duals) - np.eye(d))) > EXACT_TOL:
+        if not np.max(np.abs(sum(duals) - np.eye(d))) <= EXACT_TOL:
             raise DualsDoNotResolveIdentity("duals do not sum to the identity")
         for t in assigned:
             validate_density(t, (t.shape[0],))
@@ -204,14 +204,16 @@ def dual_Q(basis: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
     d = mats[0].shape[0]
     if len(mats) != d * d:
         raise SingularBasis(f"need {d*d} basis elements to span, got {len(mats)}")
+    if not all(np.all(np.isfinite(p)) for p in mats):
+        raise SingularBasis("basis has non-finite entries")
     gram = np.array([[np.trace(p @ q).real for q in mats] for p in mats])
-    if abs(np.linalg.det(gram)) < _SINGULAR_GRAM_DET:
+    if not abs(np.linalg.det(gram)) >= _SINGULAR_GRAM_DET:
         raise SingularBasis("basis Gram matrix is singular")
     inv = np.linalg.inv(gram)
     duals = tuple(
         sum(inv[b, g] * mats[g] for g in range(len(mats))) for b in range(len(mats))
     )
-    if np.max(np.abs(sum(duals) - np.eye(d))) > EXACT_TOL:
+    if not np.max(np.abs(sum(duals) - np.eye(d))) <= EXACT_TOL:
         raise DualsDoNotResolveIdentity(
             "duals of this basis do not sum to the identity"
         )

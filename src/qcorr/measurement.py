@@ -45,15 +45,15 @@ class ProjectiveMeasurement:
         for i, pi in enumerate(mats):
             if pi.shape != (d, d):
                 raise DimensionMismatch(f"projector {i} has shape {pi.shape}, expected {(d, d)}")
-            if hermiticity_defect(pi) > ROUNDING_TOL:
+            if not hermiticity_defect(pi) <= ROUNDING_TOL:
                 raise NotHermitian(f"projector {i} is not Hermitian")
-            if np.max(np.abs(pi @ pi - pi)) > ROUNDING_TOL:
+            if not np.max(np.abs(pi @ pi - pi)) <= ROUNDING_TOL:
                 raise ValueError(f"projector {i} is not idempotent")
             for j in range(i):
-                if np.max(np.abs(mats[j] @ pi)) > ROUNDING_TOL:
+                if not np.max(np.abs(mats[j] @ pi)) <= ROUNDING_TOL:
                     raise ValueError(f"projectors {j} and {i} are not orthogonal")
             total += pi
-        if np.max(np.abs(total - np.eye(d))) > ROUNDING_TOL:
+        if not np.max(np.abs(total - np.eye(d))) <= ROUNDING_TOL:
             raise NotResolutionOfIdentity("projectors do not sum to the identity")
         object.__setattr__(self, "projectors", mats)
 
@@ -157,7 +157,7 @@ def apply_povm_elements(rho: DensityMatrix, elements: Sequence[np.ndarray]):
     ops = [np.asarray(v, dtype=complex) for v in elements]
     d = ops[0].shape[0]
     total = sum(v.conj().T @ v for v in ops)
-    if np.max(np.abs(total - np.eye(d))) > ROUNDING_TOL:
+    if not np.max(np.abs(total - np.eye(d))) <= ROUNDING_TOL:
         raise NotResolutionOfIdentity(
             f"sum V^dag V deviates from identity by {np.max(np.abs(total - np.eye(d))):.3e}"
         )

@@ -11,9 +11,11 @@ hold by construction at the shared argmax.  The optimizer is a dense
 (theta, phi) grid over the Bloch sphere followed by a batched zoom: 7x7
 grids in the tangent plane at the best point, halving their width each
 round.  It uses numpy alone and is fully deterministic for a fixed
-configuration.  Grid ties go to the first angle pair in (theta, phi) order,
-but n and -n are the same measurement and both lie on the grid, so rounding
-decides between such twins: the reported direction is one of +/-n.
+configuration.  A measurement is an axis {n, -n}, so the grid covers each
+once: phi runs over [0, pi).  Grid ties go to the first angle pair in
+(theta, phi) order.  The reported axis is the one of +/-n whose first
+nonzero coordinate in (y, x, z) order is positive, which puts theta in
+[0, pi] and phi in [0, pi).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class OptimizerConfig:
     """Grid density and refinement budget for the measurement search.
 
     ``grid_resolution`` is the number of theta samples on [0, pi]; phi gets
-    twice as many on [0, 2*pi).  ``refine_iterations`` caps the zoom rounds
+    as many on [0, pi).  ``refine_iterations`` caps the zoom rounds
     (0 keeps the grid winner); the default never binds, since the zoom
     reaches its width tolerance in 34 rounds.  A measure in
     ``(-tolerance, 0)`` is reported as 0; ``tolerance`` must be positive and
@@ -201,46 +203,44 @@ def _optimize_angles(objective, cfg: OptimizerConfig, maximize: bool) -> Optimiz
     """Grid scan plus batched zoom refinement of a smooth angle objective.
 
     ``objective`` maps equal-shape (theta, phi) arrays to values.  The grid
-    winner is the first angle pair in (theta, phi) order whose computed
-    value is optimal.  The zoom (:func:`minimize`) starts there with a
-    half-width of two theta grid steps (2 pi/63 at the default grid), so it
-    reaches four grid steps from the winner, and runs at most
-    ``cfg.refine_iterations`` rounds; its result is kept only when it
-    strictly improves on the grid.
+    is r x r with theta on [0, pi] and phi on [0, pi), so it visits every
+    measurement axis once.  Its winner is the first angle pair in
+    (theta, phi) order whose computed value is optimal.  The zoom
+    (:func:`minimize`) starts there with a half-width of two theta grid
+    steps (2 pi/63 at the default grid), so it reaches four grid steps from
+    the winner, and runs at most ``cfg.refine_iterations`` rounds; its
+    result is kept only when it strictly improves on the grid.  The winner,
+    grid or zoom, is reported by :func:`_axis_angles`.
     """
-    thetas = np.linspace(0.0, math.pi, cfg.grid_resolution)
-    phis = np.linspace(0.0, 2.0 * math.pi, 2 * cfg.grid_resolution, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    values = objective(tt.ravel(), pp.ravel())
+    r = cfg.grid_resolution
+    axes = np.linspace(0.0, math.pi, r), np.linspace(0.0, math.pi, r, endpoint=False)
+    tt, pp = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    values = objective(tt, pp)
     idx = int(np.argmax(values) if maximize else np.argmin(values))
-    best_value = float(values[idx])
-    best_theta = float(tt.ravel()[idx])
-    best_phi = float(pp.ravel()[idx])
+    best_value, best_angles = float(values[idx]), (float(tt[idx]), float(pp[idx]))
 
     sign = -1.0 if maximize else 1.0
-    step = math.pi / (cfg.grid_resolution - 1)
+    step = math.pi / (r - 1)
     result = minimize(
         lambda t, p: sign * objective(t, p),
-        best_theta,
-        best_phi,
+        *best_angles,
         sign * best_value,
         2.0 * step,
         cfg.refine_iterations,
     )
     if result.fun < sign * best_value:
-        best_value = sign * result.fun
-        best_theta, best_phi = _canonical_angles(*result.x)
-    return OptimizationResult(best_value, best_theta, best_phi, values.size + result.nfev)
+        best_value, best_angles = sign * result.fun, result.x
+    return OptimizationResult(best_value, *_axis_angles(*best_angles), values.size + result.nfev)
 
 
-def _canonical_angles(theta: float, phi: float):
-    """Fold arbitrary angles back to theta in [0, pi], phi in [0, 2*pi)."""
-    nx = math.sin(theta) * math.cos(phi)
-    ny = math.sin(theta) * math.sin(phi)
-    nz = math.cos(theta)
-    theta_c = math.atan2(math.hypot(nx, ny), nz)
-    phi_c = math.atan2(ny, nx) % (2.0 * math.pi)
-    return theta_c, phi_c
+def _axis_angles(theta: float, phi: float):
+    """Angles of the one of +/-n(theta, phi) whose first nonzero coordinate
+    in (y, x, z) order is positive: theta in [0, pi], phi in [0, pi), never -0.0."""
+    st = math.sin(theta)
+    n = (st * math.sin(phi), st * math.cos(phi), math.cos(theta))
+    sign = next(math.copysign(1.0, c) for c in n if c != 0.0)
+    y, x, z = (sign * c + 0.0 for c in n)  # + 0.0 turns -0.0 into 0.0
+    return math.atan2(math.hypot(x, y), z), math.atan2(y, x)
 
 
 def _require_two_qubits(rho: DensityMatrix):

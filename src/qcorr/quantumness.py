@@ -312,38 +312,37 @@ def _product_decomposition(sigma: np.ndarray) -> SeparableEnsemble:
     )
 
 
-def _candidates(rho: DensityMatrix, rho_b: np.ndarray, direct: SeparableEnsemble | None):
+def _candidates(rho: DensityMatrix, rho_b: np.ndarray):
     """Witnesses in the order they are tried; the solver runs only if the earlier ones are not zero."""
-    if direct is not None:
-        yield direct
+    if rho.witness is not None:
+        yield rho.witness
     yield SeparableEnsemble(np.array([1.0]), (rho.marginal([0]).matrix,), (rho_b,))
     sigma = _ppt_minimizer(rho.matrix, rho_b)
     if sigma is not None:
         yield _product_decomposition(sigma)
 
 
-def quantumness_upper_bound(rho: DensityMatrix, witness: SeparableEnsemble | None = None) -> QuantumnessEstimate:
+def quantumness_upper_bound(rho: DensityMatrix) -> QuantumnessEstimate:
     """Divergence from rho to the closest separable state sharing rho_B, with its witness.
 
-    Candidates, in order: the caller-supplied or construction-time witness
-    evaluated directly; the product of marginals (zero for a rank-1 rho_B,
-    where rho is a product); the PPT minimizer split into at most four
-    product terms.  A bound below ``_ZERO_BOUND`` ends the call; the
-    smallest divergence among the candidates tried is returned.  The last
-    two meet rho_B by construction; a direct witness whose B marginal is
-    off by more than ``ROUNDING_TOL`` (Frobenius) raises
-    :class:`DimensionMismatch`.
+    Candidates, in order: the witness attached to ``rho`` by
+    :func:`~qcorr.states.validate_density`, evaluated directly; the product
+    of marginals (zero for a rank-1 rho_B, where rho is a product); the PPT
+    minimizer split into at most four product terms.  A bound below
+    ``_ZERO_BOUND`` ends the call; the smallest divergence among the
+    candidates tried is returned.  The last two meet rho_B by construction;
+    an attached witness whose B marginal is off by more than
+    ``ROUNDING_TOL`` (Frobenius) raises :class:`DimensionMismatch`.
     """
     if tuple(rho.dims) != (2, 2):
         raise UnsupportedDimension(f"estimator supports dims (2, 2); got {tuple(rho.dims)}")
 
     rho_b = rho.marginal([1]).matrix
-    direct = witness if witness is not None else rho.witness
     tried: list[tuple[float, float, SeparableEnsemble]] = []
-    for ensemble in _candidates(rho, rho_b, direct):
+    for ensemble in _candidates(rho, rho_b):
         sigma = ensemble.assemble()
         residual = float(np.linalg.norm(partial_trace(sigma, (2, 2), [1]) - rho_b))
-        if ensemble is direct and residual > ROUNDING_TOL:
+        if ensemble is rho.witness and not residual <= ROUNDING_TOL:  # also true for a NaN residual
             raise DimensionMismatch(f"witness B marginal is off by {residual:.3e} (tol {ROUNDING_TOL:.1e})")
         bound = relative_entropy(rho.matrix, sigma)
         tried.append((bound, residual, ensemble))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotDensity, NotProbability, OutOfRange
 from .linalg import EXACT_TOL, ROUNDING_TOL, ZERO_WEIGHT_TOL
-from .linalg import hermitian_eig, hermiticity_defect, partial_trace, tensor_product
+from .linalg import hermitian_eig, hermiticity_defect, partial_trace, subsystem_dims, tensor_product
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class Ket:
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > EXACT_TOL:
+        if not abs(norm - 1.0) <= EXACT_TOL:  # also true for a NaN norm
             raise NotDensity(f"ket norm {norm} deviates from 1 beyond {EXACT_TOL:g}")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -37,7 +37,10 @@ class Ket:
 def ket(*amplitudes: complex) -> Ket:
     """Normalize the given amplitudes into a :class:`Ket`."""
     amp = np.asarray(amplitudes, dtype=complex)
-    return Ket(amp / np.linalg.norm(amp))
+    norm = np.linalg.norm(amp)
+    if not 0.0 < norm < math.inf:  # also rejects NaN
+        raise NotDensity(f"amplitudes of norm {norm} cannot be normalized")
+    return Ket(amp / norm)
 
 
 def basis_ket(dim: int, index: int) -> Ket:
@@ -69,7 +72,7 @@ class SeparableEnsemble:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < -ZERO_WEIGHT_TOL) or abs(w.sum() - 1.0) > ROUNDING_TOL:
+        if not (np.all(w >= -ZERO_WEIGHT_TOL) and abs(w.sum() - 1.0) <= ROUNDING_TOL):
             raise NotProbability(f"ensemble weights sum to {w.sum()}")
         object.__setattr__(self, "weights", w)
 
@@ -114,6 +117,8 @@ def validate_density(
 ) -> DensityMatrix:
     """Check the density-matrix invariants and return a clean state.
 
+    ``dims`` must name at least one subsystem, each of positive dimension,
+    with product the matrix side; otherwise :class:`DimensionMismatch`.
     Hermiticity and unit trace must hold within ``ROUNDING_TOL``.
     Eigenvalues in ``(-ROUNDING_TOL, 0)`` are clipped to zero and the matrix is
     renormalized to unit trace; anything worse, or any NaN or infinite
@@ -122,7 +127,7 @@ def validate_density(
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise NotDensity("matrix has non-finite entries")
-    dims = tuple(int(d) for d in dims)
+    dims = subsystem_dims(dims)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if math.prod(dims) != m.shape[0]:
@@ -209,7 +214,7 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
         )
     ranks = np.array([pi.trace().real for pi in proj_list])
     traces = w * ranks
-    if np.any(traces < -ZERO_WEIGHT_TOL) or abs(traces.sum() - 1.0) > ROUNDING_TOL:
+    if not (np.all(traces >= -ZERO_WEIGHT_TOL) and abs(traces.sum() - 1.0) <= ROUNDING_TOL):
         raise NotProbability(f"term traces q_a Tr P_a sum to {traces.sum()}")
 
     d_a = proj_list[0].shape[0]

@@ -148,6 +148,11 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(4, dtype=complex), (2, 2), [])
 
+    @pytest.mark.parametrize("matrix, dims", [(np.eye(2), (-1, -2)), (np.eye(1), ())])
+    def test_rejects_non_positive_and_empty_dims(self, matrix, dims):
+        with pytest.raises(DimensionMismatch):
+            partial_trace(matrix, dims, [0])
+
 
 class TestRealign:
     def test_identity_map_realigns_to_vec_outer(self):

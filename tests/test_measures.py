@@ -241,6 +241,17 @@ class TestOptimizerBehaviour:
         second = maximize_measured_mi(rho, FAST)
         assert first == second
 
+    def test_reported_axis_is_canonical(self, random_two_qubit_corpus):
+        # of +/-n the reported one has its first nonzero coordinate in
+        # (y, x, z) order positive, and it attains the optimum it reports
+        for rho in random_two_qubit_corpus + [example_separable(0.3)]:
+            opt = maximize_measured_mi(rho)
+            assert 0.0 <= opt.theta <= math.pi
+            assert 0.0 <= opt.phi < math.pi
+            assert math.copysign(1.0, opt.phi) == 1.0
+            value = measured_mutual_information(rho, bloch_projectors(opt.theta, opt.phi))
+            assert abs(value - opt.value) < 1e-12
+
     def test_bell_tie_breaks_to_smallest_angles(self):
         # every measurement attains the optimum, so the grid origin wins
         opt = maximize_measured_mi(bell_state(), OptimizerConfig(refine_iterations=0))
@@ -324,13 +335,14 @@ class TestZoomRefinement:
         rho = random_density((2, 2), 55)
         cfg = OptimizerConfig(refine_iterations=0)
         opt = maximize_measured_mi(rho, cfg)
+        # the half-sphere grid: every measurement axis once, phi on [0, pi)
         thetas = np.linspace(0.0, np.pi, cfg.grid_resolution)
-        phis = np.linspace(0.0, 2.0 * np.pi, 2 * cfg.grid_resolution, endpoint=False)
+        phis = np.linspace(0.0, np.pi, cfg.grid_resolution, endpoint=False)
         tt, pp = np.meshgrid(thetas, phis, indexing="ij")
         s_b = von_neumann_entropy(rho.marginal([1]))
         grid = measures._measured_mi_batch(measures._fano_matrix(rho.matrix), s_b, tt.ravel(), pp.ravel())
         assert opt.value == np.max(grid)
-        assert opt.evaluations == grid.size
+        assert opt.evaluations == grid.size == cfg.grid_resolution**2
 
     def test_rounds_cap_and_default_converges(self, monkeypatch):
         results = []

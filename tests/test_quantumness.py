@@ -117,20 +117,20 @@ class TestQuantumnessUpperBound:
         assert first.marginal_residual == second.marginal_residual
 
     def test_caller_supplied_witness_is_used(self):
-        bare = validate_density(example_separable(0.5).matrix, (2, 2))  # no provenance
-        assert bare.witness is None
+        matrix = example_separable(0.5).matrix
+        assert validate_density(matrix, (2, 2)).witness is None  # no provenance
         plus = 0.5 * np.ones((2, 2), dtype=complex)
         zero = np.diag([1.0, 0.0]).astype(complex)
         handed = SeparableEnsemble(np.array([0.5, 0.5]), (zero, plus), (zero, plus))
-        estimate = quantumness_upper_bound(bare, witness=handed)
+        estimate = quantumness_upper_bound(validate_density(matrix, (2, 2), witness=handed))
         assert estimate.upper_bound < 1e-10
+        assert estimate.witness is handed
 
     def test_witness_with_wrong_marginal_is_rejected(self):
-        bare = validate_density(example_separable(0.5).matrix, (2, 2))
         zero, one = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
         handed = SeparableEnsemble(np.array([1.0]), (zero,), (one,))
         with pytest.raises(DimensionMismatch):
-            quantumness_upper_bound(bare, witness=handed)
+            quantumness_upper_bound(validate_density(example_separable(0.5).matrix, (2, 2), witness=handed))
 
     def test_input_validation(self):
         with pytest.raises(UnsupportedDimension):

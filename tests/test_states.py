@@ -1,7 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from qcorr import (
+    apply_povm_elements,
+    bell_state,
     bloch_projectors,
     classical_correlated,
     example_extension,
@@ -9,12 +14,17 @@ from qcorr import (
     measured_mutual_information,
     mutual_information,
     pinch,
+    quantumness_upper_bound,
     random_density,
+    shannon_entropy,
+    shannon_mutual_information,
     validate_density,
 )
-from qcorr.errors import DimensionMismatch, NotDensity, NotProbability, OutOfRange
+from qcorr.errors import DimensionMismatch, NotDensity, NotProbability, OutOfRange, QcorrError
 from qcorr.linalg import partial_trace
-from qcorr.states import Ket, ket
+from qcorr.maps import AssignmentMap, dual_Q, example_assignment
+from qcorr.measurement import ProjectiveMeasurement
+from qcorr.states import Ket, SeparableEnsemble, ket
 
 from conftest import classical_state
 
@@ -31,6 +41,12 @@ class TestValidateDensity:
     def test_rejects_wrong_dims(self):
         with pytest.raises(DimensionMismatch):
             validate_density(np.eye(4) / 4, (2, 3))
+
+    @pytest.mark.parametrize("matrix, dims", [(np.eye(2) / 2, (-1, -2)), (np.eye(1), ())])
+    def test_rejects_non_positive_and_empty_dims(self, matrix, dims):
+        # each product matches the matrix side, so only the dims check stands in the way
+        with pytest.raises(DimensionMismatch):
+            validate_density(matrix, dims)
 
     def test_rejects_dims_whose_product_overflows_int64(self):
         with pytest.raises(DimensionMismatch):
@@ -178,3 +194,47 @@ def test_validate_rejects_non_finite_entries(bad):
     m[0, 1] = m[1, 0] = bad
     with pytest.raises(NotDensity):
         validate_density(m, (2, 2))
+
+
+_NAN_2X2 = np.full((2, 2), math.nan, dtype=complex)
+_MIXED = np.eye(2, dtype=complex) / 2
+
+
+def _nan_basis_assignment():
+    am = example_assignment()
+    return AssignmentMap((_NAN_2X2,) + am.basis[1:], am.duals, am.assigned)
+
+
+def _nan_witness_bound():
+    witness = SeparableEnsemble(np.array([1.0]), (_NAN_2X2,), (_MIXED,))
+    return quantumness_upper_bound(validate_density(np.eye(4) / 4, (2, 2), witness=witness))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: shannon_entropy([math.nan, 1.0]),
+        lambda: shannon_mutual_information([[math.nan, 0.5], [0.25, 0.25]]),
+        lambda: Ket(np.array([math.nan, 1.0])),
+        lambda: ket(0, 0),
+        lambda: ket(math.nan, 1),
+        lambda: SeparableEnsemble(np.array([math.nan]), (_MIXED,), (_MIXED,)),
+        lambda: classical_correlated([math.nan, 1.0], bloch_projectors(0.0, 0.0), [_MIXED, _MIXED]),
+        lambda: ProjectiveMeasurement((_NAN_2X2, _NAN_2X2)),
+        lambda: bloch_projectors(math.nan, 0.0),
+        lambda: apply_povm_elements(bell_state(), [_NAN_2X2, _NAN_2X2]),
+        _nan_basis_assignment,
+        lambda: dual_Q((_NAN_2X2,) * 4),
+        _nan_witness_bound,
+    ],
+    ids=[
+        "shannon_entropy", "shannon_mutual_information", "Ket", "ket-zero", "ket-nan",
+        "SeparableEnsemble", "classical_correlated", "ProjectiveMeasurement", "bloch_projectors",
+        "apply_povm_elements", "AssignmentMap", "dual_Q", "quantumness_upper_bound-witness",
+    ],
+)
+def test_nan_input_raises_without_warning(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QcorrError):
+            build()
