@@ -49,6 +49,10 @@ class NotRankOne(QcorrError):
     """Projector set contains an element of rank greater than one."""
 
 
+class NotProjector(QcorrError, ValueError):
+    """Measurement operator is not idempotent, or two are not orthogonal."""
+
+
 class DegenerateMarginalWarning(UserWarning):
     """A marginal spectrum is (near-)degenerate; its eigenprojectors are
     fixed by the deterministic eigen-ordering rather than by physics."""

@@ -28,7 +28,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DualsDoNotResolveIdentity, SingularBasis
+from .errors import DimensionMismatch, DualsDoNotResolveIdentity, NotDensity, SingularBasis
 from .linalg import EXACT_TOL, ROUNDING_TOL
 from .linalg import bloch_states, hermitian_eig, partial_trace, realign, tensor_product
 from .measurement import ProjectiveMeasurement
@@ -139,6 +139,8 @@ def apply_amap(a: AMap, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (a.d, a.d):
         raise DimensionMismatch(f"state shape {rho.shape} does not match map dimension {a.d}")
+    if not np.all(np.isfinite(rho)):
+        raise NotDensity("state has non-finite entries")
     return (a.tensor @ rho.reshape(-1)).reshape(a.d, a.d)
 
 
@@ -240,6 +242,8 @@ def assignment_apply(am: AssignmentMap, rho: np.ndarray) -> np.ndarray:
     d = am.system_dim
     if rho.shape != (d, d):
         raise DimensionMismatch(f"state shape {rho.shape} does not match system dimension {d}")
+    if not np.all(np.isfinite(rho)):
+        raise NotDensity("state has non-finite entries")
     out = np.zeros((am.ancilla_dim * d,) * 2, dtype=complex)
     for q, tau, p in zip(am.duals, am.assigned, am.basis):
         r = np.trace(rho @ q)

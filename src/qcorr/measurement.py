@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotResolutionOfIdentity
+from .errors import DimensionMismatch, NotHermitian, NotProjector, NotResolutionOfIdentity
 from .linalg import ROUNDING_TOL, ZERO_WEIGHT_TOL
 from .linalg import bloch_states, hermitian_eig, hermiticity_defect, partial_trace, tensor_product
 from .states import (
@@ -48,10 +48,10 @@ class ProjectiveMeasurement:
             if not hermiticity_defect(pi) <= ROUNDING_TOL:
                 raise NotHermitian(f"projector {i} is not Hermitian")
             if not np.max(np.abs(pi @ pi - pi)) <= ROUNDING_TOL:
-                raise ValueError(f"projector {i} is not idempotent")
+                raise NotProjector(f"projector {i} is not idempotent")
             for j in range(i):
                 if not np.max(np.abs(mats[j] @ pi)) <= ROUNDING_TOL:
-                    raise ValueError(f"projectors {j} and {i} are not orthogonal")
+                    raise NotProjector(f"projectors {j} and {i} are not orthogonal")
             total += pi
         if not np.max(np.abs(total - np.eye(d))) <= ROUNDING_TOL:
             raise NotResolutionOfIdentity("projectors do not sum to the identity")

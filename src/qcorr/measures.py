@@ -7,15 +7,16 @@ share a single optimizer run, which makes the identity
 
     discord + classical_correlation = mutual_information
 
-hold by construction at the shared argmax.  The optimizer is a dense
-(theta, phi) grid over the Bloch sphere followed by a batched zoom: 7x7
-grids in the tangent plane at the best point, halving their width each
-round.  It uses numpy alone and is fully deterministic for a fixed
-configuration.  A measurement is an axis {n, -n}, so the grid covers each
-once: phi runs over [0, pi).  Grid ties go to the first angle pair in
-(theta, phi) order.  The reported axis is the one of +/-n whose first
-nonzero coordinate in (y, x, z) order is positive, which puts theta in
-[0, pi] and phi in [0, pi).
+hold by construction at the shared argmax; the same run minimizes the
+pinched entropy for the one-way deficit.  It is a (theta, phi) grid over
+the Bloch sphere, scanned in blocks of rows, then a batched zoom of both
+winners in lockstep: 7x7 grids in the tangent plane at each best point,
+halving their width each round.  It uses numpy alone and is deterministic
+for a fixed configuration.  A measurement is an axis {n, -n}, so the grid
+covers each once: phi runs over [0, pi).  Grid ties go to the first angle
+pair in (theta, phi) order.  The reported axis is the one of +/-n whose
+first nonzero coordinate in (y, x, z) order is positive, which puts theta
+in [0, pi] and phi in [0, pi).
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def _fano_matrix(rho4: np.ndarray) -> np.ndarray:
     return (PAULI_PRODUCTS.reshape(16, 16) @ rho4.T.ravel()).real.reshape(4, 4)
 
 
-def _bloch_statistics(fano: np.ndarray, theta: np.ndarray, phi: np.ndarray):
-    """Outcome probabilities and B-branch eigenvalues for measuring A along +/-n(theta, phi).
+def _bloch_statistics(fano: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Entropy terms of the outcomes of measuring A along +/-n(theta, phi).
 
     Row k of the Fano matrix T holds the Bloch coordinates, trace first, of
     rho_B (k = 0) and of R_k = Tr_A[(sigma_k (x) I) rho].  The B branch of
@@ -117,44 +118,44 @@ def _bloch_statistics(fano: np.ndarray, theta: np.ndarray, phi: np.ndarray):
     trace m_0 and eigenvalues (m_0 -/+ |m_1..3|) / 2.  This is the closed form
     (tr +/- sqrt((a - d)^2 + 4|b|^2)) / 2, which needs no clipping and stays
     accurate at degeneracy.  ``fano`` is :func:`_fano_matrix` of the state.
-    Shapes: (N, 2) and (N, 2, 2), point x outcome [x eigenvalue].
+    Returns x log2 x (0 at x <= 0) of the eigenvalues and the probability,
+    shape theta.shape + (2, 3): point x outcome x (lower, upper, probability).
+    Both objective kernels sum these ``terms``, so one call can feed both.
     """
     st = np.sin(theta)
     n = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-    m = 0.5 * (fano[0] + np.array([1.0, -1.0])[:, None] * (n @ fano[1:])[..., None, :])
-    probs, radius = m[..., 0], np.sqrt(np.sum(m[..., 1:] ** 2, axis=-1))
-    return probs, 0.5 * np.stack([probs - radius, probs + radius], axis=-1)
-
-
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    x = np.maximum(x, 0.0)
+    m = 0.5 * (fano[0] + np.array([[1.0], [-1.0]]) * (n @ fano[1:])[..., None, :])
+    sq = m[..., 1:] ** 2
+    probs, radius = m[..., 0], np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    x = np.maximum(np.stack([0.5 * (probs - radius), 0.5 * (probs + radius), probs], axis=-1), 0.0)
     return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
-def _measured_mi_batch(fano: np.ndarray, s_b: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _measured_mi_batch(fano: np.ndarray, s_b: float, theta: np.ndarray, phi: np.ndarray, *, terms=None) -> np.ndarray:
     """Measured mutual information S(rho_B) - sum_a p_a S(rho_B|a) on an angle batch."""
-    probs, lam = _bloch_statistics(fano, theta, phi)
+    terms = _bloch_statistics(fano, theta, phi) if terms is None else terms
     # p * S(sigma/p) = -sum lam log lam + p log p, finite as p -> 0.
-    weighted = -_xlog2x(lam).sum(axis=-1) + _xlog2x(probs)
-    return s_b - weighted.sum(axis=-1)
+    weighted = terms[..., 2] - (terms[..., 0] + terms[..., 1])
+    return s_b - (weighted[..., 0] + weighted[..., 1])
 
 
-def _pinched_entropy_batch(fano: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _pinched_entropy_batch(fano: np.ndarray, theta: np.ndarray, phi: np.ndarray, *, terms=None) -> np.ndarray:
     """Entropy of sum_a (P_a (x) I) rho (P_a (x) I) on an angle batch.
 
     For rank-1 P_a the pinched state is sum_a P_a (x) sigma_a with sigma_a
     the unnormalized B branch, so its spectrum joins the branch spectra.
     """
-    return -_xlog2x(_bloch_statistics(fano, theta, phi)[1]).sum(axis=(-2, -1))
+    terms = _bloch_statistics(fano, theta, phi) if terms is None else terms
+    return -terms[..., :2].sum(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class ZoomResult:
-    """Outcome of :func:`minimize`: best angles ``x``, their value ``fun``,
-    the evaluation count, and whether the width tolerance was reached."""
+    """Outcome of :func:`minimize`: best angles ``x`` (theta, phi) and value ``fun`` per
+    start, the evaluation count of all starts, and whether the width tolerance was reached."""
 
-    x: tuple
-    fun: float
+    x: np.ndarray
+    fun: np.ndarray
     nfev: int
     success: bool
 
@@ -166,71 +167,81 @@ _ZOOM_V = np.tile(np.linspace(-1.0, 1.0, 7), 7)
 _ZOOM_XTOL = 1e-11
 
 
-def minimize(objective, theta: float, phi: float, value: float, width: float, rounds: int) -> ZoomResult:
-    """Batched zoom descent of ``objective`` from n(theta, phi), whose value is ``value``.
+def minimize(objective, theta, phi, value, width: float, rounds: int) -> ZoomResult:
+    """Batched zoom descent of ``objective`` from starts n(theta[i], phi[i]) of values ``value[i]``.
 
-    The zoom works in the tangent plane at n: the point (u, v) stands for
-    the direction of n + u e_theta + v e_phi, with e_theta and e_phi the unit
-    tangents along theta and phi.  That chart is regular everywhere, poles
-    included, and reaches twice the starting half-width in every direction.
-    Each round evaluates a 7x7 (u, v) grid of the current half-width around
-    the current point in one call, moves to its first lowest point only when
-    that is strictly lower, and halves the width.  It stops when the width
-    is below ``_ZOOM_XTOL`` or after ``rounds`` rounds.
+    The zoom works in the tangent plane at each start n: the point (u, v)
+    stands for the direction of n + u e_theta + v e_phi, with e_theta and
+    e_phi the unit tangents along theta and phi.  That chart is regular
+    everywhere, poles included, and reaches twice the starting half-width
+    in every direction.  Each round evaluates, in one call, a 7x7 (u, v)
+    grid of the current half-width around each start's current point (row i
+    of a (starts, 49) batch), moves a start to its first lowest point only
+    when that is strictly lower, and halves the width, so each start ends
+    where it would alone.  It stops when the width is below ``_ZOOM_XTOL``
+    or after ``rounds`` rounds.
     """
-    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
-    frame = np.array([[st * cp, st * sp, ct], [ct * cp, ct * sp, -st], [-sp, cp, 0.0]])
-    u = v = 0.0
-    nfev = 0
+    theta, phi, value = (np.array(a, dtype=float) for a in (theta, phi, value))
+    trig = [(math.sin(t), math.cos(t), math.sin(p), math.cos(p)) for t, p in zip(theta, phi)]
+    frame = np.array([[[st * cp, st * sp, ct], [ct * cp, ct * sp, -st], [-sp, cp, 0.0]] for st, ct, sp, cp in trig])
+    u, v, nfev = np.zeros_like(theta), np.zeros_like(theta), 0
     for _ in range(rounds):
         if width < _ZOOM_XTOL:
             break
-        uu, vv = u + width * _ZOOM_U, v + width * _ZOOM_V
-        n = frame[0] + uu[:, None] * frame[1] + vv[:, None] * frame[2]
-        tt = np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2])
-        pp = np.arctan2(n[:, 1], n[:, 0])
+        uu, vv = u[:, None] + width * _ZOOM_U, v[:, None] + width * _ZOOM_V
+        n = frame[:, None, 0] + uu[..., None] * frame[:, None, 1] + vv[..., None] * frame[:, None, 2]
+        tt = np.arctan2(np.hypot(n[..., 0], n[..., 1]), n[..., 2])
+        pp = np.arctan2(n[..., 1], n[..., 0])
         values = objective(tt, pp)
         nfev += values.size
-        idx = int(np.argmin(values))
-        if values[idx] < value:
-            value, theta, phi = float(values[idx]), float(tt[idx]), float(pp[idx])
-            u, v = float(uu[idx]), float(vv[idx])
+        for k, idx in enumerate(np.argmin(values, axis=1)):
+            if values[k, idx] < value[k]:
+                value[k], theta[k], phi[k], u[k], v[k] = values[k, idx], tt[k, idx], pp[k, idx], uu[k, idx], vv[k, idx]
         width *= 0.5
-    return ZoomResult((theta, phi), value, nfev, width < _ZOOM_XTOL)
+    return ZoomResult(np.stack([theta, phi], axis=-1), value, nfev, width < _ZOOM_XTOL)
 
 
-def _optimize_angles(objective, cfg: OptimizerConfig, maximize: bool) -> OptimizationResult:
-    """Grid scan plus batched zoom refinement of a smooth angle objective.
+#: Grid points per statistics pass, rounded down to whole theta rows.
+_BLOCK_POINTS = 512
 
-    ``objective`` maps equal-shape (theta, phi) arrays to values.  The grid
-    is r x r with theta on [0, pi] and phi on [0, pi), so it visits every
-    measurement axis once.  Its winner is the first angle pair in
-    (theta, phi) order whose computed value is optimal.  The zoom
-    (:func:`minimize`) starts there with a half-width of two theta grid
-    steps (2 pi/63 at the default grid), so it reaches four grid steps from
-    the winner, and runs at most ``cfg.refine_iterations`` rounds; its
-    result is kept only when it strictly improves on the grid.  The winner,
-    grid or zoom, is reported by :func:`_axis_angles`.
+
+def _search(fano: np.ndarray, s_b: float, cfg: OptimizerConfig):
+    """Maximum of the measured mutual information J and minimum of the pinched entropy.
+
+    The r x r grid, theta on [0, pi] and phi on [0, pi), visits every
+    measurement axis once.  It is scanned in blocks of whole theta rows with
+    one statistics pass each; a block's winner replaces the running one only
+    when strictly better, so each winner is the first angle pair in (theta,
+    phi) order whose computed value is optimal.  The zoom (:func:`minimize`)
+    refines both winners in lockstep, on -J and on the pinched entropy,
+    from a half-width of two theta grid steps (2 pi/63 at the default grid),
+    for at most ``cfg.refine_iterations`` rounds.  Each winner, grid or
+    zoom, is reported by :func:`_axis_angles`.
     """
-    r = cfg.grid_resolution
-    axes = np.linspace(0.0, math.pi, r), np.linspace(0.0, math.pi, r, endpoint=False)
-    tt, pp = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
-    values = objective(tt, pp)
-    idx = int(np.argmax(values) if maximize else np.argmin(values))
-    best_value, best_angles = float(values[idx]), (float(tt[idx]), float(pp[idx]))
 
-    sign = -1.0 if maximize else 1.0
-    step = math.pi / (r - 1)
-    result = minimize(
-        lambda t, p: sign * objective(t, p),
-        *best_angles,
-        sign * best_value,
-        2.0 * step,
-        cfg.refine_iterations,
-    )
-    if result.fun < sign * best_value:
-        best_value, best_angles = sign * result.fun, result.x
-    return OptimizationResult(best_value, *_axis_angles(*best_angles), values.size + result.nfev)
+    def objective(tt, pp):
+        # -J on the first angle row and the pinched entropy on the last, from one statistics pass
+        terms = _bloch_statistics(fano, tt, pp)
+        return np.stack([
+            -_measured_mi_batch(fano, s_b, tt[0], pp[0], terms=terms[0]),
+            _pinched_entropy_batch(fano, tt[-1], pp[-1], terms=terms[-1]),
+        ])
+
+    r = cfg.grid_resolution
+    thetas, phis = np.linspace(0.0, math.pi, r), np.linspace(0.0, math.pi, r, endpoint=False)
+    rows, best, start = max(1, _BLOCK_POINTS // r), [math.inf, math.inf], [None, None]
+    for block in np.split(thetas, range(rows, r, rows)):
+        tt, pp = np.repeat(block, r), np.tile(phis, block.size)
+        values = objective(tt[None], pp[None])
+        for k, idx in enumerate(np.argmin(values, axis=1)):
+            if values[k, idx] < best[k]:
+                best[k], start[k] = float(values[k, idx]), (float(tt[idx]), float(pp[idx]))
+
+    zoom = minimize(objective, *zip(*start), best, 2.0 * (math.pi / (r - 1)), cfg.refine_iterations)
+    return [
+        OptimizationResult(sign * float(fun), *_axis_angles(*x), r * r + zoom.nfev // 2)
+        for sign, fun, x in zip((-1.0, 1.0), zoom.fun, zoom.x)
+    ]
 
 
 def _axis_angles(theta: float, phi: float):
@@ -275,10 +286,7 @@ def maximize_measured_mi(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = No
     _require_two_qubits(rho)
     cfg = cfg or OptimizerConfig()
     s_b = von_neumann_entropy(rho.marginal([1]))
-    fano = _fano_matrix(rho.matrix)
-    return _optimize_angles(
-        lambda t, p: _measured_mi_batch(fano, s_b, t, p), cfg, maximize=True
-    )
+    return _search(_fano_matrix(rho.matrix), s_b, cfg)[0]
 
 
 def quantum_discord(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = None):
@@ -306,12 +314,9 @@ def oneway_deficit(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = None) ->
     """Minimal entropy increase under a projective measurement on A."""
     _require_two_qubits(rho)
     cfg = cfg or OptimizerConfig()
-    s_rho = von_neumann_entropy(rho)
-    fano = _fano_matrix(rho.matrix)
-    opt = _optimize_angles(
-        lambda t, p: _pinched_entropy_batch(fano, t, p), cfg, maximize=False
-    )
-    return _clip_dust(opt.value - s_rho, cfg.tolerance)
+    s_b = von_neumann_entropy(rho.marginal([1]))
+    opt = _search(_fano_matrix(rho.matrix), s_b, cfg)[1]
+    return _clip_dust(opt.value - von_neumann_entropy(rho), cfg.tolerance)
 
 
 #: Marginal eigenvalue gap below which quantum_deficit warns, kept as text
@@ -370,11 +375,12 @@ def measure_report(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = None) ->
     """
     _require_two_qubits(rho)
     cfg = cfg or OptimizerConfig()
-    mi = mutual_information(rho)
-    opt = maximize_measured_mi(rho, cfg)
+    s_a, s_b, s_ab = (von_neumann_entropy(x) for x in (rho.marginal([0]), rho.marginal([1]), rho))
+    mi = s_a + s_b - s_ab
+    opt, pinched = _search(_fano_matrix(rho.matrix), s_b, cfg)
     classical = _clip_dust(opt.value, cfg.tolerance)
     discord = _clip_dust(mi - opt.value, cfg.tolerance)
-    deficit = oneway_deficit(rho, cfg)
+    deficit = _clip_dust(pinched.value - s_ab, cfg.tolerance)
 
     with warnings.catch_warnings(record=True) as grabbed:
         warnings.simplefilter("always", DegenerateMarginalWarning)
@@ -394,6 +400,7 @@ def measure_report(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = None) ->
             "evaluations": opt.evaluations,
             "raw_discord": mi - opt.value,
             "raw_classical_correlation": opt.value,
+            "oneway_theta": pinched.theta, "oneway_phi": pinched.phi,
         },
         warnings=tuple(caught),
     )

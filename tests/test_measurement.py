@@ -14,7 +14,7 @@ from qcorr import (
     validate_density,
     von_neumann_entropy,
 )
-from qcorr.errors import NotResolutionOfIdentity
+from qcorr.errors import NotProjector, NotResolutionOfIdentity, QcorrError
 from qcorr.linalg import matrix_log_on_support
 from qcorr.measurement import ProjectiveMeasurement
 from qcorr.states import KET_MINUS, KET_PLUS, ket
@@ -31,6 +31,21 @@ def trine_povm():
         vec = np.array([np.cos(angle / 2), np.sin(angle / 2)], dtype=complex)
         ops.append(np.sqrt(2.0 / 3.0) * np.outer(vec, vec.conj()))
     return ops
+
+
+@pytest.mark.parametrize(
+    "projectors, reason",
+    [
+        ((np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])), "not idempotent"),
+        ((KET_PLUS.projector(), np.diag([1.0, 0.0])), "not orthogonal"),
+    ],
+    ids=["not-idempotent", "not-orthogonal"],
+)
+def test_non_projectors_raise_a_package_error(projectors, reason):
+    # NotProjector is a QcorrError, so the command line reports it, and still a ValueError
+    with pytest.raises(NotProjector, match=reason) as caught:
+        ProjectiveMeasurement(projectors)
+    assert isinstance(caught.value, QcorrError) and isinstance(caught.value, ValueError)
 
 
 class TestBlochProjectors:

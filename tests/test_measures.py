@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,16 @@ class TestOptimizerBehaviour:
 
 
 class TestMeasureReport:
+    def test_oneway_angles_attain_the_deficit(self, random_two_qubit_corpus):
+        for rho in random_two_qubit_corpus:
+            rep = measure_report(rho)
+            theta, phi = rep.diagnostics["oneway_theta"], rep.diagnostics["oneway_phi"]
+            assert 0.0 <= theta <= math.pi and 0.0 <= phi < math.pi
+            if rep.oneway_deficit == 0.0:
+                continue  # clipped: the raw value is not reported
+            increase = von_neumann_entropy(pinch(rho, bloch_projectors(theta, phi))) - von_neumann_entropy(rho)
+            assert abs(increase - rep.oneway_deficit) < 1e-12
+
     def test_identity_holds_exactly(self):
         rho = random_density((2, 2), 321)
         rep = measure_report(rho, FAST)
@@ -356,8 +367,48 @@ class TestZoomRefinement:
         monkeypatch.setattr(measures, "minimize", recording)
         rho = random_density((2, 2), 56)
         measure_report(rho)
-        # 2 pi/63 halves below 1e-11 after 34 rounds of 49 points, well inside the default 200
-        assert [(r.nfev, r.success) for r in results] == [(34 * 49, True)] * 2
+        # one lockstep zoom for both objectives: 2 pi/63 halves below 1e-11
+        # after 34 rounds of 49 points each, well inside the default 200
+        assert [(r.nfev, r.success) for r in results] == [(2 * 34 * 49, True)]
         results.clear()
         measure_report(rho, OptimizerConfig(refine_iterations=3))
-        assert [(r.nfev, r.success) for r in results] == [(3 * 49, False)] * 2
+        assert [(r.nfev, r.success) for r in results] == [(2 * 3 * 49, False)]
+
+    def test_lockstep_starts_match_solo_runs(self):
+        # each row of a lockstep zoom ends bit for bit where its start alone would
+        rho = random_density((2, 2), 57)
+        fano = measures._fano_matrix(rho.matrix)
+        s_b = von_neumann_entropy(rho.marginal([1]))
+        kernels = (
+            lambda t, p: -measures._measured_mi_batch(fano, s_b, t, p),
+            lambda t, p: measures._pinched_entropy_batch(fano, t, p),
+        )
+        starts = [(0.4, 2.5), (2.0, 0.3)]
+        values = [float(f(np.array(t), np.array(p))) for f, (t, p) in zip(kernels, starts)]
+        width = 2.0 * np.pi / 63
+
+        def joint_objective(tt, pp):
+            return np.stack([f(t, p) for f, t, p in zip(kernels, tt, pp)])
+
+        joint = measures.minimize(joint_objective, *zip(*starts), values, width, 200)
+        for k, (f, (theta, phi), value) in enumerate(zip(kernels, starts, values)):
+            solo = measures.minimize(lambda tt, pp: f(tt[0], pp[0])[None], [theta], [phi], [value], width, 200)
+            assert solo.fun[0] < value  # the zoom moved
+            assert joint.fun[k] == solo.fun[0]
+            assert np.array_equal(joint.x[k], solo.x[0])
+            assert joint.nfev == 2 * solo.nfev
+            assert joint.success == solo.success
+
+    @pytest.mark.parametrize("resolution, limit_kb", [(64, 300), (256, 400)])
+    def test_search_memory_is_flat_in_the_grid(self, resolution, limit_kb):
+        # the grid is scanned in blocks of rows, so no full-grid array is ever built
+        rho = random_density((2, 2), 58)
+        cfg = OptimizerConfig(grid_resolution=resolution)
+        measure_report(rho, cfg)
+        tracemalloc.start()
+        try:
+            measure_report(rho, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_kb * 1024

@@ -22,7 +22,7 @@ from qcorr import (
 )
 from qcorr.errors import DimensionMismatch, NotDensity, NotProbability, OutOfRange, QcorrError
 from qcorr.linalg import partial_trace
-from qcorr.maps import AssignmentMap, dual_Q, example_assignment
+from qcorr.maps import AMap, AssignmentMap, apply_amap, assignment_apply, dual_Q, example_assignment
 from qcorr.measurement import ProjectiveMeasurement
 from qcorr.states import Ket, SeparableEnsemble, ket
 
@@ -226,11 +226,14 @@ def _nan_witness_bound():
         _nan_basis_assignment,
         lambda: dual_Q((_NAN_2X2,) * 4),
         _nan_witness_bound,
+        lambda: apply_amap(AMap(2, np.eye(4, dtype=complex)), _NAN_2X2),
+        lambda: assignment_apply(example_assignment(), _NAN_2X2),
     ],
     ids=[
         "shannon_entropy", "shannon_mutual_information", "Ket", "ket-zero", "ket-nan",
         "SeparableEnsemble", "classical_correlated", "ProjectiveMeasurement", "bloch_projectors",
         "apply_povm_elements", "AssignmentMap", "dual_Q", "quantumness_upper_bound-witness",
+        "apply_amap", "assignment_apply",
     ],
 )
 def test_nan_input_raises_without_warning(build):
