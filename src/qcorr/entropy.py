@@ -29,11 +29,15 @@ def _check_probability_vector(p: np.ndarray) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
-def shannon_entropy(p) -> float:
-    """H(p) = -sum p log2 p with the 0 log 0 = 0 convention."""
-    p = _check_probability_vector(p)
+def _entropy_bits(p: np.ndarray) -> float:
+    """-sum x log2 x over the positive entries of ``p``; negative rounding counts as 0."""
     nz = p[p > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
+
+
+def shannon_entropy(p) -> float:
+    """H(p) = -sum p log2 p with the 0 log 0 = 0 convention."""
+    return _entropy_bits(_check_probability_vector(p))
 
 
 def shannon_mutual_information(table) -> float:
@@ -48,11 +52,7 @@ def shannon_mutual_information(table) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """Shannon entropy of the spectrum; zero for pure states."""
-    m = _matrix_of(rho)
-    vals = hermitian_eig(m).eigenvalues
-    vals = np.maximum(vals, 0.0)
-    nz = vals[vals > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    return _entropy_bits(hermitian_eig(_matrix_of(rho)).eigenvalues)
 
 
 def relative_entropy(rho, sigma) -> float:

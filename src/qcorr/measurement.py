@@ -17,14 +17,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotProjector, NotResolutionOfIdentity
 from .linalg import ROUNDING_TOL, ZERO_WEIGHT_TOL
-from .linalg import bloch_states, hermitian_eig, hermiticity_defect, partial_trace, tensor_product
+from .linalg import bloch_states, hermiticity_defect, partial_trace, tensor_product
 from .states import (
     DensityMatrix,
     KET_0,
     KET_1,
     KET_MINUS,
     KET_PLUS,
-    SeparableEnsemble,
     kron_all,
     validate_density,
 )
@@ -166,36 +165,13 @@ def apply_povm_elements(rho: DensityMatrix, elements: Sequence[np.ndarray]):
     return probs, tuple(None if c is None else validate_density(c, rest_dims) for c in conditionals)
 
 
-def _decohere_in_marginal_eigenbases(rho: DensityMatrix):
-    """``rho`` dephased in the product of its marginal eigenbases.
-
-    Returns the decohered state as the ensemble of product terms
-    p_ij |a_i><a_i| (x) |b_j><b_j|, with p_ij = <a_i b_j| rho |a_i b_j> and
-    vanishing terms dropped, together with the two marginal spectra.  The
-    ensemble is separable and reproduces both marginals of ``rho``.
-    """
-    eig_a = hermitian_eig(rho.marginal([0]).matrix)
-    eig_b = hermitian_eig(rho.marginal([1]).matrix)
-    u = tensor_product(eig_a.eigenvectors, eig_b.eigenvectors)
-    joint = np.real(np.diag(u.conj().T @ rho.matrix @ u))
-    keep = np.flatnonzero(joint >= ZERO_WEIGHT_TOL)
-    i, j = np.divmod(keep, eig_b.eigenvalues.size)
-    va, vb = eig_a.eigenvectors, eig_b.eigenvectors
-    ensemble = SeparableEnsemble(
-        joint[keep] / joint[keep].sum(),
-        tuple(np.einsum("ik,jk->kij", va[:, i], va[:, i].conj())),
-        tuple(np.einsum("ik,jk->kij", vb[:, j], vb[:, j].conj())),
-    )
-    return ensemble, (eig_a.eigenvalues, eig_b.eigenvalues)
-
-
-def is_insensitive(rho: DensityMatrix, m: ProjectiveMeasurement, tol: float = ROUNDING_TOL):
-    """Whether pinching by ``m`` leaves ``rho`` unchanged within ``tol``.
+def is_insensitive(rho: DensityMatrix, m: ProjectiveMeasurement):
+    """Whether pinching by ``m`` leaves ``rho`` unchanged within ``ROUNDING_TOL``.
 
     Returns (flag, Frobenius residual).
     """
     residual = float(np.linalg.norm(pinch(rho, m).matrix - rho.matrix))
-    return residual <= tol, residual
+    return residual <= ROUNDING_TOL, residual
 
 
 def example_extension_measurement() -> ProjectiveMeasurement:

@@ -28,16 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import mutual_information, relative_entropy, von_neumann_entropy
+from .entropy import _entropy_bits, mutual_information, relative_entropy, von_neumann_entropy
 from .errors import DegenerateMarginalWarning, DimensionMismatch, OutOfRange, UnsupportedDimension
-from .linalg import PAULI_PRODUCTS
-from .measurement import (
-    ProjectiveMeasurement,
-    _decohere_in_marginal_eigenbases,
-    _leading_block,
-    bloch_projectors,
-    measure_subsystem,
-)
+from .linalg import PAULI_PRODUCTS, hermitian_eig, tensor_product
+from .measurement import ProjectiveMeasurement, _leading_block, bloch_projectors, measure_subsystem
 from .states import DensityMatrix
 
 
@@ -261,8 +255,31 @@ def _require_two_qubits(rho: DensityMatrix):
         )
 
 
-def _clip_dust(value: float, tolerance: float) -> float:
-    return 0.0 if -tolerance < value < 0.0 else value
+@dataclass(frozen=True)
+class _Optimum:
+    """One search: the J argmax ``measured``, the pinched-entropy argmin ``pinched``, and the measures."""
+
+    mutual_information: float
+    s_ab: float
+    measured: OptimizationResult
+    pinched: OptimizationResult
+    raw_discord: float
+    discord: float
+    classical_correlation: float
+    oneway_deficit: float
+
+
+def _optimize(rho: DensityMatrix, cfg: Optional[OptimizerConfig]) -> _Optimum:
+    """The set-up, search and measure formulas behind every optimized measure."""
+    _require_two_qubits(rho)
+    cfg = cfg or OptimizerConfig()
+    s_a, s_b, s_ab = (von_neumann_entropy(x) for x in (rho.marginal([0]), rho.marginal([1]), rho))
+    mi = s_a + s_b - s_ab
+    measured, pinched = _search(_fano_matrix(rho.matrix), s_b, cfg)
+    # discord I - J*, classical correlation J*, one-way deficit P* - S(AB); (-tolerance, 0) reads 0
+    raw = (mi - measured.value, measured.value, pinched.value - s_ab)
+    clipped = (0.0 if -cfg.tolerance < v < 0.0 else v for v in raw)
+    return _Optimum(mi, s_ab, measured, pinched, raw[0], *clipped)
 
 
 # ---------------------------------------------------------------------------
@@ -283,45 +300,57 @@ def measured_mutual_information(rho: DensityMatrix, m: ProjectiveMeasurement) ->
 
 def maximize_measured_mi(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = None) -> OptimizationResult:
     """Shared optimizer for discord and classical correlation (two qubits only)."""
-    _require_two_qubits(rho)
-    cfg = cfg or OptimizerConfig()
-    s_b = von_neumann_entropy(rho.marginal([1]))
-    return _search(_fano_matrix(rho.matrix), s_b, cfg)[0]
+    return _optimize(rho, cfg).measured
 
 
 def quantum_discord(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = None):
     """Minimum gap between total and measured mutual information.
 
     Returns (value in bits, optimizer result carrying the argmax angles).
+    Each call runs the whole search; :func:`measure_report` shares one.
     """
-    cfg = cfg or OptimizerConfig()
-    opt = maximize_measured_mi(rho, cfg)
-    raw = mutual_information(rho) - opt.value
-    return _clip_dust(raw, cfg.tolerance), opt
+    opt = _optimize(rho, cfg)
+    return opt.discord, opt.measured
 
 
 def classical_correlation_hv(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = None):
     """Maximum entropy reduction of B achievable by measuring A.
 
-    Returns (value in bits, optimizer result).
+    Returns (value in bits, optimizer result).  Each call runs the whole
+    search; :func:`measure_report` shares one.
     """
-    cfg = cfg or OptimizerConfig()
-    opt = maximize_measured_mi(rho, cfg)
-    return _clip_dust(opt.value, cfg.tolerance), opt
+    opt = _optimize(rho, cfg)
+    return opt.classical_correlation, opt.measured
 
 
 def oneway_deficit(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = None) -> float:
-    """Minimal entropy increase under a projective measurement on A."""
-    _require_two_qubits(rho)
-    cfg = cfg or OptimizerConfig()
-    s_b = von_neumann_entropy(rho.marginal([1]))
-    opt = _search(_fano_matrix(rho.matrix), s_b, cfg)[1]
-    return _clip_dust(opt.value - von_neumann_entropy(rho), cfg.tolerance)
+    """Minimal entropy increase under a projective measurement on A.
+
+    Each call runs the whole search; :func:`measure_report` shares one.
+    """
+    return _optimize(rho, cfg).oneway_deficit
 
 
 #: Marginal eigenvalue gap below which quantum_deficit warns, kept as text
 #: so that the warning quotes it as written.
 _DEGENERACY_GAP = "1e-8"
+
+
+def _quantum_deficit(rho: DensityMatrix, s_ab: float):
+    """The quantum deficit of a bipartite ``rho`` of entropy ``s_ab``, with a message per
+    nearly degenerate marginal.  Dephasing in the product of the marginal eigenbases
+    keeps p_ij = <a_i b_j| rho |a_i b_j>, so it is H(p) - S(rho) (the pinching identity).
+    """
+    eig_a, eig_b = (hermitian_eig(rho.marginal([k]).matrix) for k in (0, 1))
+    u = tensor_product(eig_a.eigenvectors, eig_b.eigenvectors)
+    joint = np.real(np.diag(u.conj().T @ rho.matrix @ u))
+    messages = tuple(
+        f"marginal {name} has an eigenvalue gap below {_DEGENERACY_GAP}; "
+        "its eigenprojectors follow the deterministic ordering convention"
+        for name, vals in zip("AB", (eig_a.eigenvalues, eig_b.eigenvalues))
+        if vals.size > 1 and np.min(np.diff(vals)) < float(_DEGENERACY_GAP)
+    )
+    return max(0.0, _entropy_bits(joint) - s_ab), messages
 
 
 def quantum_deficit(rho: DensityMatrix) -> float:
@@ -333,16 +362,10 @@ def quantum_deficit(rho: DensityMatrix) -> float:
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch(f"expected a bipartite signature, got dims {rho.dims}")
-    decohered, spectra = _decohere_in_marginal_eigenbases(rho)
-    for name, vals in zip("AB", spectra):
-        if vals.size > 1 and np.min(np.diff(vals)) < float(_DEGENERACY_GAP):
-            warnings.warn(
-                f"marginal {name} has an eigenvalue gap below {_DEGENERACY_GAP}; "
-                "its eigenprojectors follow the deterministic ordering convention",
-                DegenerateMarginalWarning,
-                stacklevel=2,
-            )
-    return relative_entropy(rho.matrix, decohered.assemble())
+    value, messages = _quantum_deficit(rho, von_neumann_entropy(rho))
+    for message in messages:
+        warnings.warn(message, DegenerateMarginalWarning, stacklevel=2)
+    return value
 
 
 def discord_relative_entropy_decomposition(
@@ -371,36 +394,25 @@ def measure_report(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = None) ->
     """Compute every measure of a two-qubit state in one pass.
 
     Discord and classical correlation come from a single optimizer run, so
-    their sum reproduces the mutual information exactly.
+    their sum reproduces the mutual information exactly.  Degenerate-marginal
+    messages of the quantum deficit are stored in ``warnings``, not emitted.
     """
-    _require_two_qubits(rho)
-    cfg = cfg or OptimizerConfig()
-    s_a, s_b, s_ab = (von_neumann_entropy(x) for x in (rho.marginal([0]), rho.marginal([1]), rho))
-    mi = s_a + s_b - s_ab
-    opt, pinched = _search(_fano_matrix(rho.matrix), s_b, cfg)
-    classical = _clip_dust(opt.value, cfg.tolerance)
-    discord = _clip_dust(mi - opt.value, cfg.tolerance)
-    deficit = _clip_dust(pinched.value - s_ab, cfg.tolerance)
-
-    with warnings.catch_warnings(record=True) as grabbed:
-        warnings.simplefilter("always", DegenerateMarginalWarning)
-        qdef = quantum_deficit(rho)
-        caught = [str(w.message) for w in grabbed if issubclass(w.category, DegenerateMarginalWarning)]
-
+    opt = _optimize(rho, cfg)
+    qdef, messages = _quantum_deficit(rho, opt.s_ab)
     return MeasureReport(
-        mutual_information=mi,
-        discord=discord,
-        classical_correlation=classical,
-        oneway_deficit=deficit,
+        mutual_information=opt.mutual_information,
+        discord=opt.discord,
+        classical_correlation=opt.classical_correlation,
+        oneway_deficit=opt.oneway_deficit,
         quantum_deficit=qdef,
-        optimal_theta=opt.theta,
-        optimal_phi=opt.phi,
-        optimal_measurement=bloch_projectors(opt.theta, opt.phi),
+        optimal_theta=opt.measured.theta,
+        optimal_phi=opt.measured.phi,
+        optimal_measurement=bloch_projectors(opt.measured.theta, opt.measured.phi),
         diagnostics={
-            "evaluations": opt.evaluations,
-            "raw_discord": mi - opt.value,
-            "raw_classical_correlation": opt.value,
-            "oneway_theta": pinched.theta, "oneway_phi": pinched.phi,
+            "evaluations": opt.measured.evaluations,
+            "raw_discord": opt.raw_discord,
+            "raw_classical_correlation": opt.measured.value,
+            "oneway_theta": opt.pinched.theta, "oneway_phi": opt.pinched.phi,
         },
-        warnings=tuple(caught),
+        warnings=messages,
     )

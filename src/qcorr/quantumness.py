@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import relative_entropy
-from .errors import DimensionMismatch, NotRankOne, OutOfRange, UnsupportedDimension
+from .errors import DimensionMismatch, NegativeEigenvalue, NotRankOne, OutOfRange, UnsupportedDimension
 from .linalg import PAULI_PRODUCTS, PAULIS, ROUNDING_TOL, partial_trace
 from .measurement import (
     ProjectiveMeasurement,
@@ -30,6 +30,7 @@ from .measurement import (
 from .states import (
     DensityMatrix,
     SeparableEnsemble,
+    _matrix_of,
     example_extension,
     example_separable,
     validate_density,
@@ -332,7 +333,9 @@ def quantumness_upper_bound(rho: DensityMatrix) -> QuantumnessEstimate:
     ``_ZERO_BOUND`` ends the call; the smallest divergence among the
     candidates tried is returned.  The last two meet rho_B by construction;
     an attached witness whose B marginal is off by more than
-    ``ROUNDING_TOL`` (Frobenius) raises :class:`DimensionMismatch`.
+    ``ROUNDING_TOL`` (Frobenius) raises :class:`DimensionMismatch`, and one
+    with a factor of eigenvalue below ``-ROUNDING_TOL`` (not a separable
+    decomposition) raises :class:`NegativeEigenvalue`.
     """
     if tuple(rho.dims) != (2, 2):
         raise UnsupportedDimension(f"estimator supports dims (2, 2); got {tuple(rho.dims)}")
@@ -342,8 +345,12 @@ def quantumness_upper_bound(rho: DensityMatrix) -> QuantumnessEstimate:
     for ensemble in _candidates(rho, rho_b):
         sigma = ensemble.assemble()
         residual = float(np.linalg.norm(partial_trace(sigma, (2, 2), [1]) - rho_b))
-        if ensemble is rho.witness and not residual <= ROUNDING_TOL:  # also true for a NaN residual
-            raise DimensionMismatch(f"witness B marginal is off by {residual:.3e} (tol {ROUNDING_TOL:.1e})")
+        if ensemble is rho.witness:
+            if not residual <= ROUNDING_TOL:  # also true for a NaN residual
+                raise DimensionMismatch(f"witness B marginal is off by {residual:.3e} (tol {ROUNDING_TOL:.1e})")
+            lowest = np.linalg.eigvalsh(np.stack([_matrix_of(f) for f in (*ensemble.a_states, *ensemble.b_states)])).min()
+            if lowest < -ROUNDING_TOL:
+                raise NegativeEigenvalue(f"witness factor eigenvalue {lowest:.3e} below -{ROUNDING_TOL:.1e}")
         bound = relative_entropy(rho.matrix, sigma)
         tried.append((bound, residual, ensemble))
         if bound < _ZERO_BOUND:

@@ -200,12 +200,15 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
     """Assemble ``sum_a q_a P_a (x) tau_a`` from orthogonal projectors on A.
 
     ``projectors`` is a :class:`~qcorr.measurement.ProjectiveMeasurement` on
-    the A factor (or any sequence of its projector matrices), ``states`` the
-    matching B-side density matrices.  The term traces ``q_a Tr P_a`` must
-    be non-negative and sum to one.  Zero-weight terms are skipped.  The
-    built state carries its own ensemble as a separability witness.
+    the A factor (or any sequence of projector matrices that passes its
+    checks), ``states`` the matching B-side density matrices.  The term traces
+    ``q_a Tr P_a`` must be non-negative and sum to one.  Zero-weight terms
+    are skipped.  The built state carries its own ensemble as a separability
+    witness.
     """
-    proj_list = [np.asarray(pi, dtype=complex) for pi in getattr(projectors, "projectors", projectors)]
+    from .measurement import ProjectiveMeasurement  # a local import: measurement imports this module
+
+    proj_list = ProjectiveMeasurement(tuple(getattr(projectors, "projectors", projectors))).projectors
     state_list = [_matrix_of(s) for s in states]
     w = np.asarray(weights, dtype=float)
     if not (len(proj_list) == len(state_list) == w.size):

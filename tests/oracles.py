@@ -82,6 +82,22 @@ def dense_grid_measures(rho4, n_theta=721, n_phi=1441, chunk=120000):
     return mutual - best, best, mutual
 
 
+def dephased_relative_entropy(rho4):
+    """D(rho || sum_ij p_ij |a_i b_j><a_i b_j|) through the package's relative entropy.
+
+    |a_i> and |b_j> are numpy's eigenvectors of the two qubit marginals and
+    p_ij = <a_i b_j| rho |a_i b_j>: the quantum deficit as a divergence to
+    the dephased state, the reference for its entropy-gap form.
+    """
+    from qcorr import relative_entropy
+
+    rho4 = np.asarray(rho4, dtype=complex)
+    blocks = rho4.reshape(2, 2, 2, 2)
+    u = np.kron(np.linalg.eigh(np.trace(blocks, axis1=1, axis2=3))[1], np.linalg.eigh(np.trace(blocks, axis1=0, axis2=2))[1])
+    joint = np.real(np.diag(u.conj().T @ rho4 @ u))
+    return relative_entropy(rho4, (u * joint) @ u.conj().T)
+
+
 # ---------------------------------------------------------------------------
 # Bell-diagonal states rho = (I + sum_i c_i sigma_i (x) sigma_i) / 4, whose
 # classical correlation, discord and one-way deficit are closed-form in

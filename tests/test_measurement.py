@@ -193,7 +193,7 @@ class TestApplyPovmElements:
 class TestIsInsensitive:
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_extension_is_insensitive(self, p):
-        flag, residual = is_insensitive(example_extension(p), example_extension_measurement(), 1e-13)
+        flag, residual = is_insensitive(example_extension(p), example_extension_measurement())
         assert flag
         assert residual < 1e-13
 
@@ -201,14 +201,14 @@ class TestIsInsensitive:
         rng = np.random.default_rng(12)
         for _ in range(5):
             m = bloch_projectors(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-            flag, residual = is_insensitive(bell_state(), m, 1e-10)
+            flag, residual = is_insensitive(bell_state(), m)
             assert not flag
             assert residual > 0.1
 
     def test_identity_measurement_changes_nothing(self):
         rho = random_density((2, 2), 55)
         identity = ProjectiveMeasurement((np.eye(2, dtype=complex),))
-        flag, residual = is_insensitive(rho, identity, 1e-13)
+        flag, residual = is_insensitive(rho, identity)
         assert flag
         assert residual < 1e-15
 

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from oracles import (
     bell_diagonal_measures,
     bell_diagonal_state,
     dense_grid_measures,
+    dephased_relative_entropy,
     entropy_bits,
     qubit_unitary,
     xlog2,
@@ -152,6 +156,23 @@ class TestQuantumDeficit:
     def test_degenerate_marginal_warns(self):
         with pytest.warns(DegenerateMarginalWarning):
             quantum_deficit(bell_state())
+
+    def test_matches_divergence_to_the_dephased_state(self, random_two_qubit_corpus):
+        for rho in [*random_two_qubit_corpus, bell_state(), example_separable(0.5)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateMarginalWarning)  # Bell's marginals are I/2
+                value = quantum_deficit(rho)
+            assert abs(value - dephased_relative_entropy(rho.matrix)) < 1e-12
+
+    def test_warning_text_category_and_caller_line(self):
+        with pytest.warns(DegenerateMarginalWarning) as record:
+            quantum_deficit(bell_state())
+        assert [str(w.message) for w in record] == [
+            f"marginal {name} has an eigenvalue gap below 1e-8; "
+            "its eigenprojectors follow the deterministic ordering convention"
+            for name in "AB"
+        ]
+        assert all(w.category is DegenerateMarginalWarning and w.filename == __file__ for w in record)
 
 
 class TestDiscordDecomposition:
@@ -285,6 +306,39 @@ class TestMeasureReport:
         assert len(rep.warnings) == 2
         assert abs(rep.mutual_information - 2.0) < 1e-9
         assert abs(rep.discord - 1.0) < 1e-3
+
+    def test_report_stores_the_messages_and_emits_none(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = measure_report(bell_state(), FAST)
+        with pytest.warns(DegenerateMarginalWarning) as record:
+            quantum_deficit(bell_state())
+        assert rep.warnings == tuple(str(w.message) for w in record)
+
+    def test_concurrent_reports_keep_their_own_warnings(self):
+        # Bell has two degenerate marginals and the Wishart state none; four
+        # threads interleave them, and every report lists exactly its own
+        cfg = OptimizerConfig(grid_resolution=8, refine_iterations=2)
+        states = [bell_state(), random_density((2, 2), 3)]
+        seen = []
+
+        def work():
+            for k in range(100):
+                seen.append((k % 2, len(measure_report(states[k % 2], cfg).warnings)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 400
+        assert set(seen) == {(0, 2), (1, 0)}
 
 
 def test_negative_refine_iterations_rejected():

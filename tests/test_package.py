@@ -45,3 +45,17 @@ def test_small_float_literals_are_named():
             if isinstance(value, float) and 0.0 < abs(value) <= 1e-3 and id(node) not in named:
                 offenders.append(f"{path.name}:{node.lineno}: {value!r}")
     assert offenders == []
+
+
+def test_no_module_touches_the_warning_filters():
+    """The filters are process-global state: a package function that swaps them races with other threads."""
+    global_state = {"catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"}
+    offenders = []
+    for path in sorted(Path(qcorr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in global_state:
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []

@@ -3,6 +3,7 @@ import pytest
 
 from qcorr import (
     bell_state,
+    classical_correlated,
     example_extension,
     example_extension_measurement,
     example_separable,
@@ -15,7 +16,9 @@ from qcorr import (
     verify_example_insensitivity,
     von_neumann_entropy,
 )
-from qcorr.errors import DimensionMismatch, NotRankOne, OutOfRange, UnsupportedDimension
+from qcorr.errors import DimensionMismatch, NotRankOne, OutOfRange, QcorrError, UnsupportedDimension
+from qcorr.linalg import bloch_states, partial_trace
+from qcorr.maps import dual_Q
 from qcorr.measurement import ProjectiveMeasurement
 from qcorr.states import SeparableEnsemble
 
@@ -135,6 +138,32 @@ class TestQuantumnessUpperBound:
     def test_input_validation(self):
         with pytest.raises(UnsupportedDimension):
             quantumness_upper_bound(random_density((2, 4), 0))
+
+
+def _bell_over_tetrahedron():
+    """Bell = sum_a H_a (x) tau_a with tau_a the tetrahedral Bloch states and
+    H_a = Tr_B[Bell (I (x) Q_a)] over their duals Q_a: each H_a has trace 1/4
+    and eigenvalue -1/4, so the terms are not a separable decomposition."""
+    taus = tuple(bloch_states(np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)))
+    bell = bell_state().matrix
+    h = tuple(partial_trace(bell @ np.kron(np.eye(2), q), (2, 2), [0]) for q in dual_Q(taus))
+    assert np.allclose([np.linalg.eigvalsh(x)[0] for x in h], -0.25, atol=1e-12)
+    return h, taus
+
+
+class TestNonSeparableTerms:
+    """Terms with a non-PSD factor reproduce Bell but certify nothing."""
+
+    def test_attached_witness_with_a_negative_factor_is_rejected(self):
+        h, taus = _bell_over_tetrahedron()
+        handed = SeparableEnsemble(np.full(4, 0.25), tuple(4 * x for x in h), taus)
+        with pytest.raises(QcorrError):
+            quantumness_upper_bound(validate_density(bell_state().matrix, (2, 2), witness=handed))
+
+    def test_classical_correlated_rejects_non_projectors(self):
+        h, taus = _bell_over_tetrahedron()
+        with pytest.raises(QcorrError):
+            classical_correlated([1.0] * 4, h, taus)
 
 
 def _two_qubit_pure(angle):
