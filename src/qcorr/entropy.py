@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NegativeEigenvalue, NotProbability
 from .linalg import EXACT_TOL, ROUNDING_TOL, ZERO_WEIGHT_TOL, hermitian_eig, require_hermitian
-from .states import DensityMatrix, _matrix_of
+from .states import DensityMatrix, _matrix_of, _require_density_spectrum
 
 #: Weight of rho tolerated outside supp(sigma) before reporting infinity.
 SUPPORT_LEAK_TOL = 1e-8
@@ -51,8 +51,15 @@ def shannon_mutual_information(table) -> float:
 
 
 def von_neumann_entropy(rho) -> float:
-    """Shannon entropy of the spectrum; zero for pure states."""
-    return _entropy_bits(hermitian_eig(_matrix_of(rho)).eigenvalues)
+    """Shannon entropy of the spectrum; zero for pure states.
+
+    Raises :class:`~qcorr.errors.NotDensity` for a trace or an eigenvalue
+    that :func:`~qcorr.states.validate_density` would reject.
+    """
+    m = _matrix_of(rho)
+    vals = hermitian_eig(m).eigenvalues
+    _require_density_spectrum(m.trace().real, vals[0])
+    return _entropy_bits(vals)
 
 
 def relative_entropy(rho, sigma) -> float:

@@ -57,6 +57,22 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _square_operators(ops, noun: str) -> tuple:
+    """``ops`` as a tuple of complex matrices of one square shape (d, d).
+
+    An empty list, or any other shape, raises :class:`DimensionMismatch`;
+    ``noun`` names one element in the message.
+    """
+    mats = tuple(np.asarray(m, dtype=complex) for m in ops)
+    if not mats:
+        raise DimensionMismatch(f"need at least one {noun}")
+    d = mats[0].shape[0] if mats[0].ndim else 0
+    for i, m in enumerate(mats):
+        if m.shape != (d, d):
+            raise DimensionMismatch(f"{noun} {i} has shape {m.shape}, expected {(d, d)}")
+    return mats
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation between ``m`` and its adjoint."""
     m = np.asarray(m, dtype=complex)

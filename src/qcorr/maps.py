@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DualsDoNotResolveIdentity, NotDensity, SingularBasis
 from .linalg import EXACT_TOL, ROUNDING_TOL
-from .linalg import bloch_states, hermitian_eig, partial_trace, realign, tensor_product
+from .linalg import _square_operators, bloch_states, hermitian_eig, partial_trace, realign, tensor_product
 from .measurement import ProjectiveMeasurement
 from .states import KET_0, KET_1, validate_density
 
@@ -89,13 +89,15 @@ class AssignmentMap:
     assigned: Tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        basis = tuple(np.asarray(p, dtype=complex) for p in self.basis)
-        duals = tuple(np.asarray(q, dtype=complex) for q in self.duals)
-        assigned = tuple(np.asarray(t, dtype=complex) for t in self.assigned)
+        basis = _square_operators(self.basis, "basis element")
+        duals = _square_operators(self.duals, "dual")
+        assigned = _square_operators(self.assigned, "assigned state")
         if not (len(basis) == len(duals) == len(assigned)):
             raise DimensionMismatch(
                 f"got {len(basis)} basis elements, {len(duals)} duals, {len(assigned)} assigned states"
             )
+        if duals[0].shape != basis[0].shape:
+            raise DimensionMismatch(f"duals have shape {duals[0].shape}, basis elements {basis[0].shape}")
         d = basis[0].shape[0]
         for a, p in enumerate(basis):
             for b, q in enumerate(duals):
@@ -202,7 +204,7 @@ def dual_Q(basis: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
     property is then verified rather than imposed, and its failure (which
     happens whenever some basis state is not unit trace) is an error.
     """
-    mats = [np.asarray(p, dtype=complex) for p in basis]
+    mats = _square_operators(basis, "basis element")
     d = mats[0].shape[0]
     if len(mats) != d * d:
         raise SingularBasis(f"need {d*d} basis elements to span, got {len(mats)}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotProjector, NotResolutionOfIdentity
 from .linalg import ROUNDING_TOL, ZERO_WEIGHT_TOL
-from .linalg import bloch_states, hermiticity_defect, partial_trace, tensor_product
+from .linalg import _square_operators, bloch_states, hermiticity_defect, partial_trace, tensor_product
 from .states import (
     DensityMatrix,
     KET_0,
@@ -36,14 +36,10 @@ class ProjectiveMeasurement:
     projectors: Tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(np.asarray(pi, dtype=complex) for pi in self.projectors)
-        if not mats:
-            raise DimensionMismatch("measurement needs at least one projector")
+        mats = _square_operators(self.projectors, "projector")
         d = mats[0].shape[0]
         total = np.zeros((d, d), dtype=complex)
         for i, pi in enumerate(mats):
-            if pi.shape != (d, d):
-                raise DimensionMismatch(f"projector {i} has shape {pi.shape}, expected {(d, d)}")
             if not hermiticity_defect(pi) <= ROUNDING_TOL:
                 raise NotHermitian(f"projector {i} is not Hermitian")
             if not np.max(np.abs(pi @ pi - pi)) <= ROUNDING_TOL:
@@ -153,7 +149,7 @@ def apply_povm_elements(rho: DensityMatrix, elements: Sequence[np.ndarray]):
     Requires sum V_i^dag V_i = I.  Returns (probabilities, conditional B
     states), with ``None`` conditionals for vanishing-probability outcomes.
     """
-    ops = [np.asarray(v, dtype=complex) for v in elements]
+    ops = _square_operators(elements, "measurement operator")
     d = ops[0].shape[0]
     total = sum(v.conj().T @ v for v in ops)
     if not np.max(np.abs(total - np.eye(d))) <= ROUNDING_TOL:

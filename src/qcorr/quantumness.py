@@ -13,13 +13,14 @@ below the quantumness, and above it by at most the solver's gap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import relative_entropy
-from .errors import DimensionMismatch, NegativeEigenvalue, NotRankOne, OutOfRange, UnsupportedDimension
+from .errors import DimensionMismatch, NegativeEigenvalue, NotRankOne, UnsupportedDimension
 from .linalg import PAULI_PRODUCTS, PAULIS, ROUNDING_TOL, partial_trace
 from .measurement import (
     ProjectiveMeasurement,
@@ -99,8 +100,6 @@ def verify_example_insensitivity(p: float) -> InsensitivityReport:
     """Check that the worked extension is untouched by its four-projector
     measurement and that the residual state reproduces the separable example
     (``quantumness_zero``: their divergence is below ``ROUNDING_TOL``)."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"mixing weight p={p} outside [0, 1]")
     rho_ext = example_extension(p)
     m = example_extension_measurement()
     res_tri = is_insensitive(rho_ext, m)[1]
@@ -162,27 +161,28 @@ _TAYLOR_SPREAD = 1e-3
 
 def _log_dd1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Divided differences (ln a - ln b) / (a - b) of positive arrays, 1/a at a = b."""
-    z = (a - b) / (a + b)
-    close = np.abs(z) < 0.5
-    z = np.where(close, z, 0.0)  # far pairs can round to |z| = 1, where artanh is infinite
-    ratio = np.ones_like(z)  # ln a - ln b = 2 artanh(z) keeps its digits for close a, b
-    np.divide(np.arctanh(z), z, out=ratio, where=z != 0.0)
-    out = 2.0 * ratio / (a + b)
-    np.divide(np.log(a) - np.log(b), a - b, out=out, where=~close)
+    lo, gap = np.minimum(a, b), np.abs(a - b)
+    out = 1.0 / lo
+    np.divide(np.log1p(gap / lo), gap, out=out, where=gap > 0.0)  # ln hi - ln lo = log1p(gap / lo)
     return out
 
 
-def _log_dd2(lam: np.ndarray) -> np.ndarray:
-    """Second divided differences ln[l_i, l_m, l_j] of spectra (..., n), shape (..., n, n, n)."""
-    a, b, c = np.broadcast_arrays(lam[..., :, None, None], lam[..., None, :, None], lam[..., None, None, :])
-    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-    mid = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+#: Index tables (lo, mid, hi) of the triples (i, m, j) of a 4-point spectrum sorted ascending.
+_LO, _MID, _HI = np.array([sorted(t) for t in itertools.product(range(4), repeat=3)]).T.reshape(3, 4, 4, 4)
+
+
+def _log_dd2(lam: np.ndarray, l1: np.ndarray) -> np.ndarray:
+    """Second divided differences ln[l_i, l_m, l_j] of ascending spectra (..., 4), shape (..., 4, 4, 4).
+
+    ``l1`` holds the first divided differences ln[l_i, l_j], shape (..., 4, 4).
+    """
+    lo, mid, hi = lam[..., _LO], lam[..., _MID], lam[..., _HI]
     mean = (lo + mid + hi) / 3.0
     # Close triples: -(1/2 + p2/8 - p3/15) / mean^2 with p_k = sum ((l - mean) / mean)^k,
     # the Taylor series about the mean.
     d = (np.stack([lo, mid, hi]) - mean) / mean
     out = (-0.5 - np.sum(d**2, axis=0) / 8.0 + np.sum(d**3, axis=0) / 15.0) / mean**2
-    np.divide(_log_dd1(hi, mid) - _log_dd1(lo, mid), hi - lo, out=out, where=hi - lo > _TAYLOR_SPREAD * mean)
+    np.divide(l1[..., _HI, _MID] - l1[..., _LO, _MID], hi - lo, out=out, where=hi - lo > _TAYLOR_SPREAD * mean)
     return out
 
 
@@ -214,7 +214,7 @@ def _newton_step(lam: np.ndarray, u: np.ndarray, xt: np.ndarray):
     et = u.conj().swapaxes(-1, -2)[:, None] @ _DIRECTIONS @ u[:, None]
     l1 = _log_dd1(lam[..., :, None], lam[..., None, :])
     grad = -np.sum((et.conj() * (l1 * xt)[:, None]).real, axis=(0, 2, 3))
-    w = (_log_dd2(lam) * xt.swapaxes(-1, -2)[:, :, None, :]).swapaxes(1, 2)
+    w = (_log_dd2(lam, l1) * xt.swapaxes(-1, -2)[:, :, None, :]).swapaxes(1, 2)
     p = et.transpose(0, 3, 1, 2)
     hess = -2.0 * np.sum((p @ w @ p.conj().swapaxes(-1, -2)).real, axis=(0, 1))
     scale = 1.0 / np.sqrt(np.diag(hess))

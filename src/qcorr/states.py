@@ -72,6 +72,10 @@ class SeparableEnsemble:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        if not (w.ndim == 1 and w.size == len(self.a_states) == len(self.b_states)):
+            raise DimensionMismatch(
+                f"got weights of shape {w.shape}, {len(self.a_states)} A factors, {len(self.b_states)} B factors"
+            )
         if not (np.all(w >= -ZERO_WEIGHT_TOL) and abs(w.sum() - 1.0) <= ROUNDING_TOL):
             raise NotProbability(f"ensemble weights sum to {w.sum()}")
         object.__setattr__(self, "weights", w)
@@ -112,6 +116,14 @@ class DensityMatrix:
         return DensityMatrix(tuple(self.dims[i] for i in keep), reduced)
 
 
+def _require_density_spectrum(trace: float, lowest: float) -> None:
+    """:class:`NotDensity` unless ``trace`` is 1 and ``lowest`` at least ``-ROUNDING_TOL``."""
+    if abs(trace - 1.0) > ROUNDING_TOL:
+        raise NotDensity(f"trace {trace} deviates from 1 beyond {ROUNDING_TOL:.1e}")
+    if lowest < -ROUNDING_TOL:
+        raise NotDensity(f"eigenvalue {lowest:.3e} below -{ROUNDING_TOL:.1e}")
+
+
 def validate_density(
     m: np.ndarray, dims: Sequence[int], witness: Optional[SeparableEnsemble] = None
 ) -> DensityMatrix:
@@ -136,14 +148,9 @@ def validate_density(
     defect = hermiticity_defect(m)
     if defect > ROUNDING_TOL:
         raise NotDensity(f"Hermiticity defect {defect:.3e} exceeds {ROUNDING_TOL:.1e}")
-    trace = m.trace().real
-    if abs(trace - 1.0) > ROUNDING_TOL:
-        raise NotDensity(f"trace {trace} deviates from 1 beyond {ROUNDING_TOL:.1e}")
-
     eig = hermitian_eig(m)
     vals = eig.eigenvalues
-    if vals.min() < -ROUNDING_TOL:
-        raise NotDensity(f"eigenvalue {vals.min():.3e} below -{ROUNDING_TOL:.1e}")
+    _require_density_spectrum(m.trace().real, vals.min())
     if vals.min() < 0.0:
         clipped = np.maximum(vals, 0.0)
         v = eig.eigenvectors

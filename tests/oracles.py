@@ -171,3 +171,26 @@ def qubit_unitary(rng):
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     return q[0] * np.eye(2) - 1j * sum(qk * p for qk, p in zip(q[1:], PAULIS))
+
+
+# ---------------------------------------------------------------------------
+# Second divided differences of ln, each triple sorted by value.
+# ---------------------------------------------------------------------------
+
+def log_dd2_sorting_network(lam, dd1, spread):
+    """ln[l_i, l_m, l_j] of spectra (..., n) in any order, shape (..., n, n, n).
+
+    Each triple is sorted by a min/max network into lo <= mid <= hi.  Triples
+    spread by at most ``spread`` times their mean take the Taylor series
+    -(1/2 + p2/8 - p3/15) / mean^2 about the mean; the others take
+    (dd1(hi, mid) - dd1(lo, mid)) / (hi - lo) with the first-difference
+    function ``dd1`` evaluated afresh.
+    """
+    a, b, c = np.broadcast_arrays(lam[..., :, None, None], lam[..., None, :, None], lam[..., None, None, :])
+    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    mid = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    mean = (lo + mid + hi) / 3.0
+    d = (np.stack([lo, mid, hi]) - mean) / mean
+    out = (-0.5 - np.sum(d**2, axis=0) / 8.0 + np.sum(d**3, axis=0) / 15.0) / mean**2
+    np.divide(dd1(hi, mid) - dd1(lo, mid), hi - lo, out=out, where=hi - lo > spread * mean)
+    return out

@@ -6,6 +6,7 @@ import pytest
 from qcorr import (
     bell_state,
     example_separable,
+    measure_report,
     mutual_information,
     random_density,
     relative_entropy,
@@ -14,8 +15,8 @@ from qcorr import (
     validate_density,
     von_neumann_entropy,
 )
-from qcorr.errors import DimensionMismatch, NotProbability
-from qcorr.linalg import hermitian_eig, tensor_product
+from qcorr.errors import DimensionMismatch, NotDensity, NotProbability
+from qcorr.linalg import ROUNDING_TOL, hermitian_eig, tensor_product
 
 from conftest import product_state
 from oracles import entropy_bits
@@ -63,6 +64,26 @@ class TestVonNeumannEntropy:
     def test_against_spectrum_oracle(self):
         rho = example_separable(0.5)
         assert abs(von_neumann_entropy(rho) - entropy_bits(rho.matrix)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[1.5, -0.5], [3.0, 3.0], [1.0 + 2 * ROUNDING_TOL, 0.0], [1.0 + 2 * ROUNDING_TOL, -2 * ROUNDING_TOL]],
+    )
+    def test_rejects_matrices_that_are_not_states(self, diagonal):
+        with pytest.raises(NotDensity):
+            von_neumann_entropy(np.diag(diagonal))
+
+    def test_relative_entropy_rejects_a_first_argument_that_is_not_a_state(self):
+        with pytest.raises(NotDensity):
+            relative_entropy(np.diag([1.5, -0.5]), np.eye(2) / 2)
+
+    def test_accepts_a_state_at_the_edge_of_the_trace_tolerance(self):
+        unit = random_density((2, 2), 4)
+        rho = validate_density(unit.matrix * (1.0 + 0.5 * ROUNDING_TOL), (2, 2))
+        assert abs(von_neumann_entropy(rho) - von_neumann_entropy(unit)) < 1e-9
+        got, want = measure_report(rho), measure_report(unit)
+        for name in ("mutual_information", "discord", "oneway_deficit", "quantum_deficit"):
+            assert abs(getattr(got, name) - getattr(want, name)) < 1e-9
 
 
 class TestRelativeEntropy:

@@ -19,7 +19,7 @@ from qcorr import (
     realign_b_to_a,
     spectral_decompose,
 )
-from qcorr.errors import DualsDoNotResolveIdentity, SingularBasis
+from qcorr.errors import DimensionMismatch, DualsDoNotResolveIdentity, SingularBasis
 from qcorr.linalg import PAULIS, partial_trace
 from qcorr.maps import AssignmentMap, apply_kraus
 from qcorr.measurement import ProjectiveMeasurement
@@ -106,6 +106,13 @@ class TestDualQ:
         with pytest.raises(DualsDoNotResolveIdentity):
             dual_Q((eye, *PAULIS))
 
+    @pytest.mark.parametrize(
+        "basis", [[], [np.eye(2), *PAULIS[:2], np.eye(3)]], ids=["empty", "mixed-shapes"]
+    )
+    def test_rejects_empty_or_mixed_bases(self, basis):
+        with pytest.raises(DimensionMismatch):
+            dual_Q(basis)
+
 
 class TestAssignment:
     def test_extends_system_state_to_known_pair_state(self):
@@ -128,6 +135,24 @@ class TestAssignment:
             np.kron(am.assigned[0], am.basis[0]) + np.kron(am.assigned[2], am.basis[2])
         )
         assert np.max(np.abs(out - expected)) < 1e-13
+
+    def test_rejects_empty_lists(self):
+        with pytest.raises(DimensionMismatch):
+            AssignmentMap((), (), ())
+
+    @pytest.mark.parametrize("field", ["basis", "duals", "assigned"])
+    def test_rejects_mixed_shapes(self, field):
+        am = example_assignment()
+        parts = {"basis": am.basis, "duals": am.duals, "assigned": am.assigned}
+        parts[field] = parts[field][:-1] + (np.eye(3) / 3,)
+        with pytest.raises(DimensionMismatch):
+            AssignmentMap(**parts)
+
+    def test_rejects_duals_of_another_dimension(self):
+        am = example_assignment()
+        duals = tuple(np.eye(3) / 3 for _ in am.duals)
+        with pytest.raises(DimensionMismatch):
+            AssignmentMap(am.basis, duals, am.assigned)
 
 
 class TestApplyAmap:

@@ -14,7 +14,7 @@ from qcorr import (
     validate_density,
     von_neumann_entropy,
 )
-from qcorr.errors import NotProjector, NotResolutionOfIdentity, QcorrError
+from qcorr.errors import DimensionMismatch, NotProjector, NotResolutionOfIdentity, QcorrError
 from qcorr.linalg import matrix_log_on_support
 from qcorr.measurement import ProjectiveMeasurement
 from qcorr.states import KET_MINUS, KET_PLUS, ket
@@ -188,6 +188,11 @@ class TestApplyPovmElements:
         rho = random_density((2, 2), 3)
         with pytest.raises(NotResolutionOfIdentity):
             apply_povm_elements(rho, [np.eye(2) / 2, np.eye(2) / 2])
+
+    @pytest.mark.parametrize("elements", [[], [np.eye(2), np.eye(3)]], ids=["empty", "mixed-shapes"])
+    def test_rejects_empty_or_mixed_operator_lists(self, elements):
+        with pytest.raises(DimensionMismatch):
+            apply_povm_elements(random_density((2, 2), 3), elements)
 
 
 class TestIsInsensitive:

@@ -28,6 +28,7 @@ from oracles import (
     bell_diagonal_quantumness,
     bell_diagonal_state,
     classical_quantum_state,
+    log_dd2_sorting_network,
     pure_quantumness,
     qubit_unitary,
 )
@@ -296,22 +297,53 @@ class TestPptSolve:
         assert coherent - 1e-9 <= bound <= relative_entropy(rho.matrix, marginals)
 
     def test_second_divided_differences_of_close_eigenvalues(self):
-        from qcorr.quantumness import _log_dd2
+        from qcorr.quantumness import _log_dd1, _log_dd2
 
-        # Spreads up to the 1e-3 switch to the Taylor series, where the
-        # textbook quotient, in extended precision, is still accurate.
-        lam = np.array([0.25, 0.25 * (1 + 4e-4), 0.25 * (1 - 5e-4), 0.6, 1e-9])
+        # Ascending spectra with spreads up to the 1e-3 switch to the Taylor
+        # series, where the textbook quotient, in extended precision, is still
+        # accurate; a far eigenvalue below the cluster in one row, above it in
+        # the other.
+        cluster = 0.25 * np.array([1 - 5e-4, 1.0, 1 + 4e-4])
+        lam = np.array([[1e-9, *cluster], [*cluster, 0.6]])
         ld = lam.astype(np.longdouble)
 
         def dd1(a, b):
             return (np.log(a) - np.log(b)) / (a - b) if a != b else 1 / a
 
-        got = _log_dd2(lam)
-        for i, m, j in [(0, 1, 2), (0, 0, 1), (1, 2, 2), (0, 1, 3), (2, 4, 0)]:
-            a, b, c = sorted([ld[i], ld[m], ld[j]])
+        got = _log_dd2(lam, _log_dd1(lam[..., :, None], lam[..., None, :]))
+        triples = [(0, 1, 2, 3), (0, 2, 1, 0), (0, 3, 2, 3), (0, 1, 0, 2), (1, 0, 1, 2), (1, 1, 1, 2), (1, 2, 3, 3), (1, 0, 1, 3)]
+        for row, i, m, j in triples:
+            a, b, c = sorted([ld[row, i], ld[row, m], ld[row, j]])
             expected = (dd1(c, b) - dd1(a, b)) / (c - a)
-            assert abs(got[i, m, j] - expected) <= 1e-11 * abs(expected)
-        assert got[3, 3, 3] == -0.5 / 0.6**2
+            assert abs(got[row, i, m, j] - expected) <= 1e-11 * abs(expected)
+        assert got[1, 3, 3, 3] == -0.5 / 0.6**2
+
+    def test_second_divided_differences_match_the_sorting_network(self):
+        from qcorr.quantumness import _TAYLOR_SPREAD, _log_dd1, _log_dd2
+
+        rng = np.random.default_rng(16)
+        lam = np.sort(rng.uniform(1e-6, 1.0, (200, 2, 4)), axis=-1)
+        # A third of the spectra carry a near-degenerate pair.
+        lam[::3, :, 2] = lam[::3, :, 1] * (1.0 + rng.uniform(1e-12, 1e-4, (67, 2)))
+        lam = np.sort(lam, axis=-1)
+        got = _log_dd2(lam, _log_dd1(lam[..., :, None], lam[..., None, :]))
+        assert np.array_equal(got, log_dd2_sorting_network(lam, _log_dd1, _TAYLOR_SPREAD))
+
+    def test_first_divided_differences_match_extended_precision(self):
+        import mpmath
+
+        from qcorr.quantumness import _log_dd1
+
+        ratios = [1.0, 1 + 1e-15, 1 + 1e-9, 1 + 1e-4, 1.5, 2.9, 3.0, 3.1, 10.0, 1e3, 1e8, 1e12]
+        pairs = [(a, a * r) for a in (1e-12, 1e-9, 1e-6, 1e-3, 0.3, 1.0) for r in ratios]
+        pairs += [(b, a) for a, b in pairs]
+        a, b = np.array(pairs).T
+        got = _log_dd1(a, b)
+        with mpmath.workdps(50):
+            for x, y, g in zip(a, b, got):
+                mx, my = mpmath.mpf(x), mpmath.mpf(y)
+                exact = 1 / mx if x == y else (mpmath.log(mx) - mpmath.log(my)) / (mx - my)
+                assert abs(mpmath.mpf(g) / exact - 1) <= 4 * np.finfo(float).eps, (x, y)
 
     def test_gradient_and_hessian_match_finite_differences(self):
         from qcorr.quantumness import _barrier_point, _newton_step

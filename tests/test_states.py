@@ -200,6 +200,22 @@ _NAN_2X2 = np.full((2, 2), math.nan, dtype=complex)
 _MIXED = np.eye(2, dtype=complex) / 2
 
 
+class TestSeparableEnsemble:
+    @pytest.mark.parametrize(
+        "weights, a_states, b_states",
+        [
+            ([0.5, 0.5], (_MIXED,), (_MIXED,)),
+            ([1.0], (_MIXED, _MIXED), (_MIXED, _MIXED)),
+            ([0.5, 0.5], (_MIXED, _MIXED), (_MIXED,)),
+            ([[0.5, 0.5]], (_MIXED, _MIXED), (_MIXED, _MIXED)),
+        ],
+        ids=["more-weights", "more-factors", "fewer-b-factors", "2-d-weights"],
+    )
+    def test_counts_must_agree(self, weights, a_states, b_states):
+        with pytest.raises(DimensionMismatch):
+            SeparableEnsemble(np.array(weights), a_states, b_states)
+
+
 def _nan_basis_assignment():
     am = example_assignment()
     return AssignmentMap((_NAN_2X2,) + am.basis[1:], am.duals, am.assigned)
