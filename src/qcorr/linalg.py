@@ -113,7 +113,11 @@ def hermitian_eig(m: np.ndarray) -> HermitianEigenSystem:
     positive.  Raises :class:`NotHermitian` when the input deviates from its
     adjoint by more than ``ROUNDING_TOL``.
     """
-    m = require_hermitian(m)
+    return _phase_fixed_eig(require_hermitian(m))
+
+
+def _phase_fixed_eig(m: np.ndarray) -> HermitianEigenSystem:
+    """:func:`hermitian_eig` of a complex square matrix already checked for Hermiticity."""
     vals, vecs = np.linalg.eigh(m)
     vecs = vecs.copy()
     n = m.shape[0]

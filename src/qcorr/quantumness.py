@@ -145,13 +145,13 @@ class QuantumnessEstimate:
 _E = PAULI_PRODUCTS[4:] / 4
 #: The directions E_k and their partial transposes on B, shape (2, 12, 4, 4).
 _DIRECTIONS = np.stack([_E, _E.reshape(12, 2, 2, 2, 2).swapaxes(2, 4).reshape(12, 4, 4)])
-#: The solve stops once the barrier's duality gap 8/t (nats) is below this.
-_GAP_TOL = 1e-11
-#: Factor by which each centering stage raises the barrier weight t.
-_T_FACTOR = 30.0
+#: The barrier weight t of the last centering stage: the duality gap 8/t is then about 4.1e-13 nats.
+_T_FINAL = 30.0**9
+#: Factor by which each centering stage raises the barrier weight t, up to ``_T_FINAL``.
+_T_FACTOR = 300.0
 #: A centering stage ends once the squared Newton decrement is below this.
 _CENTERING_TOL = 1e-9
-#: A cap on each stage's Newton steps; converging stages take at most about 16.
+#: A cap on each stage's Newton steps; converging stages take at most about 18.
 _STAGE_STEPS = 50
 #: The backtracking line search gives up once its step factor falls to this.
 _MIN_STEP = 1e-9
@@ -167,8 +167,10 @@ def _log_dd1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Index tables (lo, mid, hi) of the triples (i, m, j) of a 4-point spectrum sorted ascending.
-_LO, _MID, _HI = np.array([sorted(t) for t in itertools.product(range(4), repeat=3)]).T.reshape(3, 4, 4, 4)
+#: Index table (lo, mid, hi) of the 64 triples (i, m, j) of a 4-point spectrum sorted ascending, shape (3, 64).
+_TRIPLES = np.array([sorted(t) for t in itertools.product(range(4), repeat=3)]).T
+#: Flat indices of each triple's pairs (hi, mid) and (lo, mid) into a 4x4 table, shape (2, 64).
+_PAIRS = 4 * _TRIPLES[[2, 0]] + _TRIPLES[1]
 
 
 def _log_dd2(lam: np.ndarray, l1: np.ndarray) -> np.ndarray:
@@ -176,14 +178,19 @@ def _log_dd2(lam: np.ndarray, l1: np.ndarray) -> np.ndarray:
 
     ``l1`` holds the first divided differences ln[l_i, l_j], shape (..., 4, 4).
     """
-    lo, mid, hi = lam[..., _LO], lam[..., _MID], lam[..., _HI]
+    triples = lam[..., _TRIPLES]
+    lo, mid, hi = triples[..., 0, :], triples[..., 1, :], triples[..., 2, :]
     mean = (lo + mid + hi) / 3.0
+    far = hi - lo > _TAYLOR_SPREAD * mean
+    pairs = l1.reshape(*l1.shape[:-2], 16)[..., _PAIRS]
+    out = np.divide(pairs[..., 0, :] - pairs[..., 1, :], hi - lo, out=np.empty_like(mean), where=far)
     # Close triples: -(1/2 + p2/8 - p3/15) / mean^2 with p_k = sum ((l - mean) / mean)^k,
     # the Taylor series about the mean.
-    d = (np.stack([lo, mid, hi]) - mean) / mean
-    out = (-0.5 - np.sum(d**2, axis=0) / 8.0 + np.sum(d**3, axis=0) / 15.0) / mean**2
-    np.divide(l1[..., _HI, _MID] - l1[..., _LO, _MID], hi - lo, out=out, where=hi - lo > _TAYLOR_SPREAD * mean)
-    return out
+    close = ~far
+    m = mean[close]
+    d = (triples.swapaxes(-1, -2)[close].T - m) / m
+    out[close] = (-0.5 - np.sum(d**2, axis=0) / 8.0 + np.sum(d**3, axis=0) / 15.0) / m**2
+    return out.reshape(*lam.shape, 4, 4)
 
 
 def _barrier_point(x: np.ndarray, t: float, base: np.ndarray, weights: np.ndarray):
@@ -197,6 +204,11 @@ def _barrier_point(x: np.ndarray, t: float, base: np.ndarray, weights: np.ndarra
     lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS.reshape(2, 12, 16)).reshape(2, 4, 4))
     if lam[:, 0].min() <= 0.0:
         return None
+    return _weighted(lam, u, t, weights)
+
+
+def _weighted(lam: np.ndarray, u: np.ndarray, t: float, weights: np.ndarray):
+    """:func:`_barrier_point` at barrier weight t from the spectra and eigenvectors of both matrices."""
     xt = u.conj().swapaxes(-1, -2) @ (t * weights) @ u + np.eye(4)
     return -float(np.sum(np.diagonal(xt, axis1=-2, axis2=-1).real * np.log(lam))), lam, u, xt
 
@@ -207,16 +219,20 @@ def _newton_step(lam: np.ndarray, u: np.ndarray, xt: np.ndarray):
     In the eigenbasis of S, with L1 and L2 the divided differences of ln at
     its spectrum (Daleckii-Krein), -Tr[X ln S] has gradient -Re <E_k, L1 o X>
     along E_k and Hessian -2 Re sum_m P_m W_m P_m^H, where
-    W_m[i, j] = L2[i, m, j] X[j, i] and P_m[k, i] = E_k[i, m].  The Hessian
-    is scaled by its diagonal before the solve: near the boundary its
-    entries span about 18 orders of magnitude.
+    W_m[i, j] = L2[i, m, j] X[j, i] and P_m[k, i] = E_k[i, m].  Each sum over
+    m is one product P T P^H, with P[k, (i, m)] = E_k[i, m] and T the
+    block-diagonal matrix of the W_m.  The Hessian is scaled by its diagonal
+    before the solve: near the boundary its entries span about 18 orders of
+    magnitude.
     """
-    et = u.conj().swapaxes(-1, -2)[:, None] @ _DIRECTIONS @ u[:, None]
+    # Every E_k in the eigenbasis, flattened: (U^H E_k U)[i, j] = sum_ab E_k[a, b] conj(U[a, i]) U[b, j].
+    basis = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(2, 16, 16)
+    et = _DIRECTIONS.reshape(2, 12, 16) @ basis
     l1 = _log_dd1(lam[..., :, None], lam[..., None, :])
-    grad = -np.sum((et.conj() * (l1 * xt)[:, None]).real, axis=(0, 2, 3))
-    w = (_log_dd2(lam, l1) * xt.swapaxes(-1, -2)[:, :, None, :]).swapaxes(1, 2)
-    p = et.transpose(0, 3, 1, 2)
-    hess = -2.0 * np.sum((p @ w @ p.conj().swapaxes(-1, -2)).real, axis=(0, 1))
+    grad = -np.sum((et.conj() @ (l1 * xt).reshape(2, 16, 1)).real, axis=(0, 2))
+    w = _log_dd2(lam, l1) * xt.swapaxes(-1, -2)[:, :, None, :]  # w[s, i, m, j] = W_m[i, j]
+    blocks = (w[..., None] * np.eye(4)[:, None, :]).reshape(2, 16, 16)  # T[(i, m), (j, n)] = W_m[i, j] if m == n
+    hess = -2.0 * np.sum(et @ blocks @ et.conj().swapaxes(-1, -2), axis=0).real
     scale = 1.0 / np.sqrt(np.diag(hess))
     # A pseudo-inverse through the complex eigh that every other
     # decomposition here uses: a least-squares or real symmetric solver
@@ -228,7 +244,7 @@ def _newton_step(lam: np.ndarray, u: np.ndarray, xt: np.ndarray):
 
 
 def _ppt_minimizer(rho4: np.ndarray, rho_b: np.ndarray) -> np.ndarray | None:
-    """The PPT sigma with Tr_A sigma = rho_B closest to rho, within ``_GAP_TOL``.
+    """The PPT sigma with Tr_A sigma = rho_B closest to rho, to a duality gap of 8 / ``_T_FINAL``.
 
     Log-barrier method: each stage takes Newton steps at fixed t, the full
     step when the decrement is below 1/2 and the step stays feasible, a
@@ -259,10 +275,10 @@ def _ppt_minimizer(rho4: np.ndarray, rho_b: np.ndarray) -> np.ndarray | None:
                 if trial is None or trial[0] > value - 0.25 * alpha * decrement:
                     break
             x, point = x + alpha * step, trial
-        if 8.0 / t < _GAP_TOL:
+        if t == _T_FINAL:
             return base[0] + (x @ _DIRECTIONS[0].reshape(12, 16)).reshape(4, 4)
-        t *= _T_FACTOR
-        point = _barrier_point(x, t, base, weights)
+        t = min(t * _T_FACTOR, _T_FINAL)
+        point = _weighted(*point[1:3], t, weights)  # sigma(x) is unchanged: only its weight rises
 
 
 def _closing_angle(a: float, b: float, c: float) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotDensity, NotProbability, OutOfRange
 from .linalg import EXACT_TOL, ROUNDING_TOL, ZERO_WEIGHT_TOL
-from .linalg import hermitian_eig, hermiticity_defect, partial_trace, subsystem_dims, tensor_product
+from .linalg import _phase_fixed_eig, hermiticity_defect, partial_trace, subsystem_dims, tensor_product
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def validate_density(
     defect = hermiticity_defect(m)
     if defect > ROUNDING_TOL:
         raise NotDensity(f"Hermiticity defect {defect:.3e} exceeds {ROUNDING_TOL:.1e}")
-    eig = hermitian_eig(m)
+    eig = _phase_fixed_eig(m)
     vals = eig.eigenvalues
     _require_density_spectrum(m.trace().real, vals.min())
     if vals.min() < 0.0:

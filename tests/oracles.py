@@ -6,6 +6,8 @@ eigenvalue formula) so that it shares no code path with the package's
 generic measurement machinery.
 """
 
+import itertools
+
 import numpy as np
 
 PAULIS = (
@@ -194,3 +196,57 @@ def log_dd2_sorting_network(lam, dd1, spread):
     out = (-0.5 - np.sum(d**2, axis=0) / 8.0 + np.sum(d**3, axis=0) / 15.0) / mean**2
     np.divide(dd1(hi, mid) - dd1(lo, mid), hi - lo, out=out, where=hi - lo > spread * mean)
     return out
+
+
+# ---------------------------------------------------------------------------
+# One Newton step of the two-qubit PPT barrier, the direct way: a sandwich
+# U^H E_k U per direction, a 4x4x4 index table per triple role, and the
+# Taylor series of the second divided differences at every triple.
+# ---------------------------------------------------------------------------
+
+_E = np.array([np.kron(a, b) for a in PAULIS for b in (np.eye(2), *PAULIS)]) / 4
+_DIRECTIONS = np.stack([_E, _E.reshape(12, 2, 2, 2, 2).swapaxes(2, 4).reshape(12, 4, 4)])
+_TAYLOR_SPREAD = 1e-3
+
+
+def _log_dd1(a, b):
+    """Divided differences (ln a - ln b) / (a - b) of positive arrays, 1/a at a = b."""
+    lo, gap = np.minimum(a, b), np.abs(a - b)
+    out = 1.0 / lo
+    np.divide(np.log1p(gap / lo), gap, out=out, where=gap > 0.0)  # ln hi - ln lo = log1p(gap / lo)
+    return out
+
+
+_LO, _MID, _HI = np.array([sorted(t) for t in itertools.product(range(4), repeat=3)]).T.reshape(3, 4, 4, 4)
+
+
+def _log_dd2(lam, l1):
+    """Second divided differences ln[l_i, l_m, l_j] of ascending spectra (..., 4), shape (..., 4, 4, 4)."""
+    lo, mid, hi = lam[..., _LO], lam[..., _MID], lam[..., _HI]
+    mean = (lo + mid + hi) / 3.0
+    d = (np.stack([lo, mid, hi]) - mean) / mean
+    out = (-0.5 - np.sum(d**2, axis=0) / 8.0 + np.sum(d**3, axis=0) / 15.0) / mean**2
+    np.divide(l1[..., _HI, _MID] - l1[..., _LO, _MID], hi - lo, out=out, where=hi - lo > _TAYLOR_SPREAD * mean)
+    return out
+
+
+def newton_step_reference(lam, u, xt):
+    """Newton direction and squared decrement of -sum_S Tr[X ln S] over S = sigma, sigma^{T_B}.
+
+    ``lam`` and ``u`` are the ascending spectra and eigenvectors of both
+    matrices, shape (2, 4) and (2, 4, 4), and ``xt`` the weights t W + I in
+    each eigenbasis.  The gradient along E_k is -Re <E_k, L1 o X> and the
+    Hessian -2 Re sum_m P_m W_m P_m^H with W_m[i, j] = L2[i, m, j] X[j, i]
+    and P_m[k, i] = E_k[i, m], both in the eigenbasis.
+    """
+    et = u.conj().swapaxes(-1, -2)[:, None] @ _DIRECTIONS @ u[:, None]
+    l1 = _log_dd1(lam[..., :, None], lam[..., None, :])
+    grad = -np.sum((et.conj() * (l1 * xt)[:, None]).real, axis=(0, 2, 3))
+    w = (_log_dd2(lam, l1) * xt.swapaxes(-1, -2)[:, :, None, :]).swapaxes(1, 2)
+    p = et.transpose(0, 3, 1, 2)
+    hess = -2.0 * np.sum((p @ w @ p.conj().swapaxes(-1, -2)).real, axis=(0, 1))
+    scale = 1.0 / np.sqrt(np.diag(hess))
+    vals, vecs = np.linalg.eigh(hess * np.outer(scale, scale) + 0j)
+    inverse = np.divide(1.0, vals, out=np.zeros_like(vals), where=vals > 12 * np.finfo(float).eps * vals[-1])
+    step = ((vecs * inverse) @ (vecs.conj().T @ (-grad * scale))).real * scale
+    return step, float(-grad @ step)

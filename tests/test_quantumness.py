@@ -29,6 +29,7 @@ from oracles import (
     bell_diagonal_state,
     classical_quantum_state,
     log_dd2_sorting_network,
+    newton_step_reference,
     pure_quantumness,
     qubit_unitary,
 )
@@ -189,6 +190,14 @@ class TestCertifiedLowerBound:
         rho = _two_qubit_pure(angle)
         exact = von_neumann_entropy(rho.marginal([0]))
         assert exact - 1e-12 <= quantumness_upper_bound(rho).upper_bound <= exact + 1e-10
+
+    @pytest.mark.parametrize("angle", [1e-3, 0.15, 0.3, 0.45, 0.6, np.pi / 4, 1.2])
+    def test_pure_states_within_the_final_duality_gap(self, angle):
+        # The closest separable state to a pure rho is singular, so the
+        # barrier gap of the last stage shows in the bound.
+        rho = _two_qubit_pure(angle)
+        exact = von_neumann_entropy(rho.marginal([0]))
+        assert exact - 1e-12 <= quantumness_upper_bound(rho).upper_bound <= exact + 1e-11
 
     def test_infinite_product_candidate_loses_to_the_solver(self):
         # rho_A (x) rho_B has eigenvalue angle^4 = 1e-12, which counts as
@@ -364,3 +373,22 @@ class TestPptSolve:
         curvature = (value(x + h * step) - 2 * value(x) + value(x - h * step)) / h**2
         assert slope == pytest.approx(-decrement, rel=1e-6)
         assert curvature == pytest.approx(decrement, rel=1e-4)
+
+    def test_newton_step_matches_the_reference_step(self):
+        from qcorr.quantumness import _barrier_point, _newton_step
+
+        rng = np.random.default_rng(17)
+        rhos = [random_density((2, 2), s).matrix for s in range(30)]
+        rhos += [_two_qubit_pure(0.3).matrix, example_separable(0.4).matrix]  # singular rho
+        for rho in rhos:
+            rho_b = rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+            base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])
+            weights = np.stack([rho, np.zeros_like(rho)])
+            for t in (7.0, 1e6):
+                point = None
+                while point is None:  # an interior point
+                    point = _barrier_point(rng.uniform(-0.05, 0.05, 12), t, base, weights)
+                step, decrement = _newton_step(*point[1:])
+                expected_step, expected_decrement = newton_step_reference(*point[1:])
+                assert np.linalg.norm(step - expected_step) <= 1e-12 * np.linalg.norm(expected_step)
+                assert decrement == pytest.approx(expected_decrement, rel=1e-12)

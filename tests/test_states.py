@@ -60,6 +60,28 @@ class TestValidateDensity:
         assert np.allclose(state.matrix, expected, atol=1e-14)
         assert np.allclose(example_separable(0.3).matrix, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("entry, message", [(1e-9, "Hermiticity defect"), (np.nan, "non-finite")])
+    def test_rejects_non_hermitian_and_non_finite(self, entry, message):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = entry
+        with pytest.raises(NotDensity, match=message):
+            validate_density(m, (2, 2))
+
+    def test_measures_the_hermiticity_defect_once(self, monkeypatch):
+        from qcorr import linalg, states
+
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return defect(m)
+
+        defect = linalg.hermiticity_defect
+        monkeypatch.setattr(linalg, "hermiticity_defect", counted)
+        monkeypatch.setattr(states, "hermiticity_defect", counted)
+        validate_density(np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]), (2, 2))
+        assert len(calls) == 1
+
     def test_clips_tiny_negative_eigenvalues(self):
         m = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0])
         state = validate_density(m, (2, 2))
