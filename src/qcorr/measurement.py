@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotProjector, NotResolutionOfIdentity
+from .errors import DimensionMismatch, NotHermitian, NotProjector, NotResolutionOfIdentity, OutOfRange
 from .linalg import ROUNDING_TOL, ZERO_WEIGHT_TOL
 from .linalg import _square_operators, bloch_states, hermiticity_defect, partial_trace, tensor_product
 from .states import (
@@ -71,6 +71,8 @@ class MeasurementOutcome:
 
 def bloch_projectors(theta: float, phi: float) -> ProjectiveMeasurement:
     """Two-outcome qubit measurement along the Bloch direction (theta, phi)."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise OutOfRange(f"Bloch angles ({theta}, {phi}) must be finite")
     n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
     up = bloch_states(np.array(n))
     return ProjectiveMeasurement((up, np.eye(2, dtype=complex) - up))

@@ -42,9 +42,10 @@ class OptimizerConfig:
     ``grid_resolution`` is the number of theta samples on [0, pi]; phi gets
     as many on [0, pi).  ``refine_iterations`` caps the zoom rounds
     (0 keeps the grid winner); the default never binds, since the zoom
-    reaches its width tolerance in 34 rounds.  A measure in
-    ``(-tolerance, 0)`` is reported as 0; ``tolerance`` must be positive and
-    finite.  The command line reads its defaults from these fields.
+    reaches its width tolerance in 34 rounds.  Both must be integers, not
+    bools.  A measure in ``(-tolerance, 0)`` is reported as 0;
+    ``tolerance`` must be positive and finite.  The command line reads its
+    defaults from these fields.
     """
 
     grid_resolution: int = 64
@@ -52,6 +53,10 @@ class OptimizerConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
+        for name in ("grid_resolution", "refine_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise OutOfRange(f"{name} {value!r} must be an integer")
         if self.grid_resolution < 8:
             raise OutOfRange(f"grid_resolution {self.grid_resolution} < 8")
         if self.refine_iterations < 0:

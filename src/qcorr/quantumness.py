@@ -145,10 +145,10 @@ class QuantumnessEstimate:
 _E = PAULI_PRODUCTS[4:] / 4
 #: The directions E_k and their partial transposes on B, shape (2, 12, 4, 4).
 _DIRECTIONS = np.stack([_E, _E.reshape(12, 2, 2, 2, 2).swapaxes(2, 4).reshape(12, 4, 4)])
-#: The barrier weight t of the last centering stage: the duality gap 8/t is then about 4.1e-13 nats.
-_T_FINAL = 30.0**9
-#: Factor by which each centering stage raises the barrier weight t, up to ``_T_FINAL``.
-_T_FACTOR = 300.0
+#: The barrier weight t of each centering stage; the last one's duality gap 8/t is about 4.1e-13 nats.
+_STAGES = (1.0, 300.0, 300.0**2, 300.0**3, 300.0**4, 300.0**5, 30.0**9)
+#: The log-determinant weight I of sigma and of sigma^{T_B}; sigma's stage adds t U^H rho U.
+_IDENTITIES = np.array([np.eye(4), np.eye(4)], dtype=complex)
 #: A centering stage ends once the squared Newton decrement is below this.
 _CENTERING_TOL = 1e-9
 #: A cap on each stage's Newton steps; converging stages take at most about 18.
@@ -193,23 +193,23 @@ def _log_dd2(lam: np.ndarray, l1: np.ndarray) -> np.ndarray:
     return out.reshape(*lam.shape, 4, 4)
 
 
-def _barrier_point(x: np.ndarray, t: float, base: np.ndarray, weights: np.ndarray):
-    """Value of -Tr[(t W + I) ln S] summed over S = sigma(x), sigma(x)^{T_B}.
+def _barrier_point(x: np.ndarray, t: float, base: np.ndarray, rho: np.ndarray):
+    """Value of t * (-Tr rho ln sigma) - ln det sigma - ln det sigma^{T_B} at sigma = sigma(x).
 
-    With W = rho for sigma and W = 0 for its partial transpose this is
-    t * (-Tr rho ln sigma) - ln det sigma - ln det sigma^{T_B}.  Returns it
-    with both spectra, eigenvectors and t W + I in each eigenbasis, or None
-    when either matrix is not positive definite.
+    Returns it with both spectra, eigenvectors and weights X in each
+    eigenbasis (t rho + I for sigma, I for sigma^{T_B}), or None when
+    either matrix is not positive definite.
     """
     lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS.reshape(2, 12, 16)).reshape(2, 4, 4))
     if lam[:, 0].min() <= 0.0:
         return None
-    return _weighted(lam, u, t, weights)
+    return _weighted(lam, u, t, rho)
 
 
-def _weighted(lam: np.ndarray, u: np.ndarray, t: float, weights: np.ndarray):
+def _weighted(lam: np.ndarray, u: np.ndarray, t: float, rho: np.ndarray):
     """:func:`_barrier_point` at barrier weight t from the spectra and eigenvectors of both matrices."""
-    xt = u.conj().swapaxes(-1, -2) @ (t * weights) @ u + np.eye(4)
+    xt = _IDENTITIES.copy()
+    xt[0] += u[0].conj().T @ (t * rho) @ u[0]
     return -float(np.sum(np.diagonal(xt, axis1=-2, axis2=-1).real * np.log(lam))), lam, u, xt
 
 
@@ -244,22 +244,23 @@ def _newton_step(lam: np.ndarray, u: np.ndarray, xt: np.ndarray):
 
 
 def _ppt_minimizer(rho4: np.ndarray, rho_b: np.ndarray) -> np.ndarray | None:
-    """The PPT sigma with Tr_A sigma = rho_B closest to rho, to a duality gap of 8 / ``_T_FINAL``.
+    """The PPT sigma with Tr_A sigma = rho_B closest to rho, to a duality gap of 8 / ``_STAGES[-1]``.
 
-    Log-barrier method: each stage takes Newton steps at fixed t, the full
-    step when the decrement is below 1/2 and the step stays feasible, a
-    backtracking line search otherwise.  A stage ends when the squared
-    decrement is below ``_CENTERING_TOL`` or stops shrinking (rounding has
-    taken over), when the line search finds no decrease, or at the cap.
-    None when rho_B is singular: the feasible set then has no interior.
+    Log-barrier method: one centering stage per t in ``_STAGES``, taking
+    Newton steps from the last stage's sigma, the full step when the
+    decrement is below 1/2 and the step stays feasible, a backtracking line
+    search otherwise.  A stage ends when the squared decrement is below
+    ``_CENTERING_TOL`` or stops shrinking (rounding has taken over), when
+    the line search finds no decrease, or at the cap.  None when rho_B is
+    singular: the feasible set then has no interior.
     """
     base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])  # sigma(0) and its T_B
-    weights = np.stack([rho4, np.zeros_like(rho4)])
-    x, t = np.zeros(12), 1.0
-    point = _barrier_point(x, t, base, weights)
+    x = np.zeros(12)
+    point = _barrier_point(x, _STAGES[0], base, rho4)
     if point is None:
         return None
-    while True:
+    for t in _STAGES:
+        point = _weighted(*point[1:3], t, rho4)  # sigma(x) is unchanged: only its weight rises
         previous = math.inf
         for _ in range(_STAGE_STEPS):
             value, lam, u, xt = point
@@ -267,18 +268,15 @@ def _ppt_minimizer(rho4: np.ndarray, rho_b: np.ndarray) -> np.ndarray | None:
             if decrement <= _CENTERING_TOL or (previous < 0.25 and decrement >= previous):
                 break
             previous, alpha = decrement, 1.0
-            trial = _barrier_point(x + step, t, base, weights)
+            trial = _barrier_point(x + step, t, base, rho4)
             if decrement >= 0.25 or trial is None:
                 while alpha > _MIN_STEP and (trial is None or trial[0] > value - 0.25 * alpha * decrement):
                     alpha *= 0.5
-                    trial = _barrier_point(x + alpha * step, t, base, weights)
+                    trial = _barrier_point(x + alpha * step, t, base, rho4)
                 if trial is None or trial[0] > value - 0.25 * alpha * decrement:
                     break
             x, point = x + alpha * step, trial
-        if t == _T_FINAL:
-            return base[0] + (x @ _DIRECTIONS[0].reshape(12, 16)).reshape(4, 4)
-        t = min(t * _T_FACTOR, _T_FINAL)
-        point = _weighted(*point[1:3], t, weights)  # sigma(x) is unchanged: only its weight rises
+    return base[0] + (x @ _DIRECTIONS[0].reshape(12, 16)).reshape(4, 4)
 
 
 def _closing_angle(a: float, b: float, c: float) -> float:
@@ -349,9 +347,10 @@ def quantumness_upper_bound(rho: DensityMatrix) -> QuantumnessEstimate:
     ``_ZERO_BOUND`` ends the call; the smallest divergence among the
     candidates tried is returned.  The last two meet rho_B by construction;
     an attached witness whose B marginal is off by more than
-    ``ROUNDING_TOL`` (Frobenius) raises :class:`DimensionMismatch`, and one
-    with a factor of eigenvalue below ``-ROUNDING_TOL`` (not a separable
-    decomposition) raises :class:`NegativeEigenvalue`.
+    ``ROUNDING_TOL`` (Frobenius), or with a factor that is not 2x2, raises
+    :class:`DimensionMismatch`, and one with a factor of eigenvalue below
+    ``-ROUNDING_TOL`` (not a separable decomposition) raises
+    :class:`NegativeEigenvalue`.
     """
     if tuple(rho.dims) != (2, 2):
         raise UnsupportedDimension(f"estimator supports dims (2, 2); got {tuple(rho.dims)}")
@@ -364,7 +363,10 @@ def quantumness_upper_bound(rho: DensityMatrix) -> QuantumnessEstimate:
         if ensemble is rho.witness:
             if not residual <= ROUNDING_TOL:  # also true for a NaN residual
                 raise DimensionMismatch(f"witness B marginal is off by {residual:.3e} (tol {ROUNDING_TOL:.1e})")
-            lowest = np.linalg.eigvalsh(np.stack([_matrix_of(f) for f in (*ensemble.a_states, *ensemble.b_states)])).min()
+            factors = [_matrix_of(f) for f in (*ensemble.a_states, *ensemble.b_states)]
+            if any(f.shape != (2, 2) for f in factors):
+                raise DimensionMismatch(f"witness factor shapes {sorted({f.shape for f in factors})}, expected (2, 2)")
+            lowest = np.linalg.eigvalsh(np.stack(factors)).min()
             if lowest < -ROUNDING_TOL:
                 raise NegativeEigenvalue(f"witness factor eigenvalue {lowest:.3e} below -{ROUNDING_TOL:.1e}")
         bound = relative_entropy(rho.matrix, sigma)

@@ -9,8 +9,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotDensity, NotProbability, OutOfRange
-from .linalg import EXACT_TOL, ROUNDING_TOL, ZERO_WEIGHT_TOL
-from .linalg import _phase_fixed_eig, hermiticity_defect, partial_trace, subsystem_dims, tensor_product
+from .linalg import EXACT_TOL, ROUNDING_TOL, ZERO_WEIGHT_TOL, tensor_product
+from .linalg import _phase_fixed_eig, _square_operators, hermiticity_defect, partial_trace, subsystem_dims
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,10 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeparableEnsemble:
-    """Convex mixture of product states, kept as its explicit terms."""
+    """Convex mixture of product states, kept as its explicit terms.
+
+    The A factors are square matrices of one shape, and so are the B factors.
+    """
 
     weights: np.ndarray
     a_states: tuple
@@ -78,6 +81,8 @@ class SeparableEnsemble:
             )
         if not (np.all(w >= -ZERO_WEIGHT_TOL) and abs(w.sum() - 1.0) <= ROUNDING_TOL):
             raise NotProbability(f"ensemble weights sum to {w.sum()}")
+        _square_operators([_matrix_of(a) for a in self.a_states], "A factor")
+        _square_operators([_matrix_of(b) for b in self.b_states], "B factor")
         object.__setattr__(self, "weights", w)
 
     def assemble(self) -> np.ndarray:
@@ -226,6 +231,7 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
     traces = w * ranks
     if not (np.all(traces >= -ZERO_WEIGHT_TOL) and abs(traces.sum() - 1.0) <= ROUNDING_TOL):
         raise NotProbability(f"term traces q_a Tr P_a sum to {traces.sum()}")
+    state_list = _square_operators(state_list, "B state")
 
     d_a = proj_list[0].shape[0]
     d_b = state_list[0].shape[0]

@@ -7,6 +7,7 @@ generic measurement machinery.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -250,3 +251,58 @@ def newton_step_reference(lam, u, xt):
     inverse = np.divide(1.0, vals, out=np.zeros_like(vals), where=vals > 12 * np.finfo(float).eps * vals[-1])
     step = ((vecs * inverse) @ (vecs.conj().T @ (-grad * scale))).real * scale
     return step, float(-grad @ step)
+
+
+# ---------------------------------------------------------------------------
+# The barrier loop as it read before its stages became one table: t rises
+# 300-fold and is clamped to the last weight, and sigma^{T_B} carries an
+# all-zero weight matrix through every point.  The Newton step is passed in.
+# ---------------------------------------------------------------------------
+
+_T_FINAL = 30.0**9
+_T_FACTOR = 300.0
+_CENTERING_TOL = 1e-9
+_STAGE_STEPS = 50
+_MIN_STEP = 1e-9
+
+
+def _barrier_point(x, t, base, weights):
+    lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS.reshape(2, 12, 16)).reshape(2, 4, 4))
+    if lam[:, 0].min() <= 0.0:
+        return None
+    return _weighted(lam, u, t, weights)
+
+
+def _weighted(lam, u, t, weights):
+    xt = u.conj().swapaxes(-1, -2) @ (t * weights) @ u + np.eye(4)
+    return -float(np.sum(np.diagonal(xt, axis1=-2, axis2=-1).real * np.log(lam))), lam, u, xt
+
+
+def ppt_minimizer_reference(rho4, rho_b, newton_step):
+    """The PPT sigma with Tr_A sigma = rho_B closest to rho, or None when rho_B is singular."""
+    base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])
+    weights = np.stack([rho4, np.zeros_like(rho4)])
+    x, t = np.zeros(12), 1.0
+    point = _barrier_point(x, t, base, weights)
+    if point is None:
+        return None
+    while True:
+        previous = math.inf
+        for _ in range(_STAGE_STEPS):
+            value, lam, u, xt = point
+            step, decrement = newton_step(lam, u, xt)
+            if decrement <= _CENTERING_TOL or (previous < 0.25 and decrement >= previous):
+                break
+            previous, alpha = decrement, 1.0
+            trial = _barrier_point(x + step, t, base, weights)
+            if decrement >= 0.25 or trial is None:
+                while alpha > _MIN_STEP and (trial is None or trial[0] > value - 0.25 * alpha * decrement):
+                    alpha *= 0.5
+                    trial = _barrier_point(x + alpha * step, t, base, weights)
+                if trial is None or trial[0] > value - 0.25 * alpha * decrement:
+                    break
+            x, point = x + alpha * step, trial
+        if t == _T_FINAL:
+            return base[0] + (x @ _DIRECTIONS[0].reshape(12, 16)).reshape(4, 4)
+        t = min(t * _T_FACTOR, _T_FINAL)
+        point = _weighted(*point[1:3], t, weights)

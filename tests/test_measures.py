@@ -256,6 +256,11 @@ class TestOptimizerBehaviour:
         for bad in (math.nan, math.inf):
             with pytest.raises(OutOfRange):
                 OptimizerConfig(tolerance=bad)
+        for name in ("grid_resolution", "refine_iterations"):
+            for bad in (8.5, 16.0, True, "16"):
+                with pytest.raises(OutOfRange):
+                    OptimizerConfig(**{name: bad})
+        assert OptimizerConfig(grid_resolution=np.int64(16), refine_iterations=np.int32(3)).grid_resolution == 16
 
     def test_deterministic_argmax(self):
         rho = random_density((2, 2), 123)

@@ -30,6 +30,7 @@ from oracles import (
     classical_quantum_state,
     log_dd2_sorting_network,
     newton_step_reference,
+    ppt_minimizer_reference,
     pure_quantumness,
     qubit_unitary,
 )
@@ -136,6 +137,16 @@ class TestQuantumnessUpperBound:
         handed = SeparableEnsemble(np.array([1.0]), (zero,), (one,))
         with pytest.raises(DimensionMismatch):
             quantumness_upper_bound(validate_density(example_separable(0.5).matrix, (2, 2), witness=handed))
+
+    @pytest.mark.parametrize(
+        "a_states, b_states",
+        [((np.eye(2) / 2, np.eye(3) / 3), (np.eye(2) / 2, np.eye(2) / 2)), ((np.eye(4) / 4,), (np.eye(1),))],
+        ids=["unequal-a-factors", "4x4-a-1x1-b"],
+    )
+    def test_witness_with_factors_of_the_wrong_shape_is_rejected(self, a_states, b_states):
+        with pytest.raises(DimensionMismatch):
+            witness = SeparableEnsemble(np.full(len(a_states), 1 / len(a_states)), a_states, b_states)
+            quantumness_upper_bound(validate_density(np.eye(4) / 4, (2, 2), witness=witness))
 
     def test_input_validation(self):
         with pytest.raises(UnsupportedDimension):
@@ -360,13 +371,12 @@ class TestPptSolve:
         rho = random_density((2, 2), 31).matrix
         rho_b = rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
         base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])
-        weights = np.stack([rho, np.zeros_like(rho)])
         x = np.random.default_rng(3).uniform(-0.05, 0.05, 12)
 
         def value(y):
-            return _barrier_point(y, 7.0, base, weights)[0]
+            return _barrier_point(y, 7.0, base, rho)[0]
 
-        step, decrement = _newton_step(*_barrier_point(x, 7.0, base, weights)[1:])
+        step, decrement = _newton_step(*_barrier_point(x, 7.0, base, rho)[1:])
         # Along the Newton step d: phi'(x; d) = -decrement and phi''(x; d, d) = decrement.
         h = 1e-4
         slope = (value(x + h * step) - value(x - h * step)) / (2 * h)
@@ -383,12 +393,34 @@ class TestPptSolve:
         for rho in rhos:
             rho_b = rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
             base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])
-            weights = np.stack([rho, np.zeros_like(rho)])
             for t in (7.0, 1e6):
                 point = None
                 while point is None:  # an interior point
-                    point = _barrier_point(rng.uniform(-0.05, 0.05, 12), t, base, weights)
+                    point = _barrier_point(rng.uniform(-0.05, 0.05, 12), t, base, rho)
                 step, decrement = _newton_step(*point[1:])
                 expected_step, expected_decrement = newton_step_reference(*point[1:])
                 assert np.linalg.norm(step - expected_step) <= 1e-12 * np.linalg.norm(expected_step)
                 assert decrement == pytest.approx(expected_decrement, rel=1e-12)
+
+    @pytest.mark.parametrize("case", [*range(10), "pure", "separable"])
+    def test_minimizer_matches_the_reference_loop(self, case):
+        from qcorr.quantumness import _newton_step, _ppt_minimizer
+
+        if case == "pure":
+            rho = _two_qubit_pure(0.3).matrix
+        elif case == "separable":
+            rho = example_separable(0.4).matrix
+        else:
+            rho = random_density((2, 2), case).matrix
+        rho_b = partial_trace(rho, (2, 2), [1])
+        sigma = _ppt_minimizer(rho, rho_b)
+        assert sigma is not None
+        assert np.array_equal(sigma, ppt_minimizer_reference(rho, rho_b, _newton_step))
+
+    def test_singular_marginal_has_no_interior(self):
+        from qcorr.quantumness import _newton_step, _ppt_minimizer
+
+        rho = np.kron(random_density((2,), 5).matrix, np.diag([1.0, 0.0]))
+        rho_b = partial_trace(rho, (2, 2), [1])
+        assert _ppt_minimizer(rho, rho_b) is None
+        assert ppt_minimizer_reference(rho, rho_b, _newton_step) is None

@@ -176,6 +176,11 @@ class TestClassicalCorrelated:
         with pytest.raises(DimensionMismatch):
             classical_correlated([1.0], z_basis, [np.eye(2) / 2, np.eye(2) / 2])
 
+    @pytest.mark.parametrize("second", [np.eye(3) / 3, np.full((2, 4), 0.25)], ids=["3x3", "2x4"])
+    def test_b_states_of_unequal_or_non_square_shape(self, second):
+        with pytest.raises(DimensionMismatch):
+            classical_correlated([0.5, 0.5], bloch_projectors(0.0, 0.0), [np.eye(2) / 2, second])
+
     def test_witness_reassembles_state(self):
         state = classical_state(3)
         assert np.linalg.norm(state.witness.assemble() - state.matrix) < 1e-12
@@ -260,6 +265,7 @@ def _nan_witness_bound():
         lambda: classical_correlated([math.nan, 1.0], bloch_projectors(0.0, 0.0), [_MIXED, _MIXED]),
         lambda: ProjectiveMeasurement((_NAN_2X2, _NAN_2X2)),
         lambda: bloch_projectors(math.nan, 0.0),
+        lambda: bloch_projectors(math.inf, 0.0),
         lambda: apply_povm_elements(bell_state(), [_NAN_2X2, _NAN_2X2]),
         _nan_basis_assignment,
         lambda: dual_Q((_NAN_2X2,) * 4),
@@ -270,7 +276,7 @@ def _nan_witness_bound():
     ids=[
         "shannon_entropy", "shannon_mutual_information", "Ket", "ket-zero", "ket-nan",
         "SeparableEnsemble", "classical_correlated", "ProjectiveMeasurement", "bloch_projectors",
-        "apply_povm_elements", "AssignmentMap", "dual_Q", "quantumness_upper_bound-witness",
+        "bloch_projectors-inf", "apply_povm_elements", "AssignmentMap", "dual_Q", "quantumness_upper_bound-witness",
         "apply_amap", "assignment_apply",
     ],
 )
