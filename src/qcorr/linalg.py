@@ -150,11 +150,12 @@ def matrix_log_on_support(m: np.ndarray) -> np.ndarray:
 
 def subsystem_dims(dims: Iterable[int]) -> tuple:
     """``dims`` as a tuple of ints; :class:`DimensionMismatch` unless it
-    names at least one subsystem and every dimension is positive."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or min(dims) < 1:
-        raise DimensionMismatch(f"dims {dims} must name at least one subsystem, each of dimension >= 1")
-    return dims
+    names at least one subsystem and every dimension is an integer (not a
+    bool) of at least 1."""
+    dims = tuple(dims)
+    if not dims or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims):
+        raise DimensionMismatch(f"dims {dims} must name at least one subsystem, each an integer >= 1")
+    return tuple(int(d) for d in dims)
 
 
 def partial_trace(

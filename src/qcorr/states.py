@@ -249,8 +249,14 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
 
 
 def random_density(dims: Sequence[int], seed: int) -> DensityMatrix:
-    """Seeded Wishart-style random state: G G^dag normalized to unit trace."""
-    dims = tuple(int(d) for d in dims)
+    """Seeded Wishart-style random state: G G^dag normalized to unit trace.
+
+    ``seed`` must be a non-negative integer, not a bool: :class:`OutOfRange`
+    otherwise.  ``dims`` are checked by :func:`~qcorr.linalg.subsystem_dims`.
+    """
+    dims = subsystem_dims(dims)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise OutOfRange(f"seed {seed!r} must be a non-negative integer")
     n = math.prod(dims)
     if n > 8:
         raise DimensionMismatch(f"total dimension {n} exceeds the supported maximum of 8")

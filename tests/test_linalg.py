@@ -153,6 +153,11 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace(matrix, dims, [0])
 
+    @pytest.mark.parametrize("dims", [(1.5, 4), (True, 4), (np.float64(2), 2)])
+    def test_rejects_dims_that_are_not_integers(self, dims):
+        with pytest.raises(DimensionMismatch):
+            partial_trace(np.eye(4), dims, [0])
+
 
 class TestRealign:
     def test_identity_map_realigns_to_vec_outer(self):

@@ -232,6 +232,85 @@ class TestCertifiedLowerBound:
         assert quantumness_upper_bound(rho).upper_bound >= lower - 1e-9
 
 
+def _product_mixture(rank, seed):
+    """A mixture of ``rank`` random pure product states with Dirichlet weights."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((rank, 2, 2)) + 1j * rng.standard_normal((rank, 2, 2))
+    vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+    kets = [np.kron(a, b) for a, b in vecs]
+    return sum(w * np.outer(k, k.conj()) for w, k in zip(rng.dirichlet(np.ones(rank)), kets))
+
+
+def _ppt_random_states():
+    """The first four ``random_density`` states whose partial transpose is positive definite."""
+    states = (random_density((2, 2), s).matrix for s in range(60))
+    return [m for m in states if np.linalg.eigvalsh(m.reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4))[0] > 0][:4]
+
+
+def _werner(bell_weight):
+    return bell_weight * bell_state().matrix + (1 - bell_weight) * np.eye(4) / 4
+
+
+class TestClosedFormCandidates:
+    """PPT and pure inputs end at the coherent-information floor before the solver."""
+
+    @pytest.fixture(autouse=True)
+    def no_solver(self, monkeypatch):
+        from qcorr import quantumness
+
+        def fail(*args):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(quantumness, "_ppt_minimizer", fail)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [example_separable(p).matrix for p in np.linspace(0.1, 0.9, 9)]
+        + [_werner(w) for w in (0.1, 0.25, 1 / 3, 1 / 3 + 1e-10)]
+        + [_product_mixture(rank, seed) for rank in (2, 3, 4) for seed in (1, 2)]
+        + _ppt_random_states(),
+        ids=[f"separable-{p:.1f}" for p in np.linspace(0.1, 0.9, 9)]
+        + ["werner-0.1", "werner-0.25", "werner-1/3", "werner-1/3+1e-10"]
+        + [f"product-rank{rank}-{seed}" for rank in (2, 3, 4) for seed in (1, 2)]
+        + [f"random-ppt-{i}" for i in range(4)],
+    )
+    def test_ppt_input_is_its_own_minimizer(self, matrix):
+        # Passed without the witness that example_separable attaches.
+        estimate = quantumness_upper_bound(validate_density(matrix, (2, 2)))
+        assert estimate.upper_bound <= 1e-14
+        assert estimate.restarts_used == 2
+        assert estimate.marginal_residual <= 1e-14
+
+    def test_pure_product_ends_at_the_product_of_marginals(self):
+        estimate = quantumness_upper_bound(validate_density(_product_mixture(1, 3), (2, 2)))
+        assert estimate.upper_bound <= 1e-14
+        assert estimate.restarts_used == 1
+
+    @pytest.mark.parametrize(
+        "psi",
+        [[np.cos(a), 0.0, 0.0, np.sin(a)] for a in (1e-6, 1e-5, 1e-3, 0.15, 0.45, np.pi / 4)]
+        + [[1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, -1.0]],  # Bell and (|0+> + |1->)/sqrt 2, degenerate rho_B
+        ids=["a=1e-6", "a=1e-5", "a=1e-3", "a=0.15", "a=0.45", "a=pi/4", "bell", "0+ plus 1-"],
+    )
+    def test_pure_input_meets_the_entanglement_entropy(self, psi):
+        # At Schmidt weight 1e-12 (a = 1e-6) the measured state's small term
+        # still carries 4.1e-11 bits: dropping it would read 0.
+        psi = np.asarray(psi, dtype=complex) / np.linalg.norm(psi)
+        rho = validate_density(np.outer(psi, psi.conj()), (2, 2))
+        estimate = quantumness_upper_bound(rho)
+        assert abs(estimate.upper_bound - von_neumann_entropy(rho.marginal([0]))) <= 1e-12
+        assert estimate.restarts_used == 2
+        assert estimate.marginal_residual <= 1e-14
+
+    def test_tiniest_schmidt_weight_ends_at_the_product_of_marginals(self):
+        # At Schmidt weight 1e-14 the product of marginals, 2 S(rho_A), is
+        # already within 1e-12 of the floor S(rho_A).
+        rho = _two_qubit_pure(1e-7)
+        estimate = quantumness_upper_bound(rho)
+        assert abs(estimate.upper_bound - von_neumann_entropy(rho.marginal([0]))) <= 1e-12
+        assert estimate.restarts_used == 1
+
+
 class TestClosedFormOracles:
     """The bound equals the quantumness where it has a closed form."""
 
@@ -416,6 +495,26 @@ class TestPptSolve:
         sigma = _ppt_minimizer(rho, rho_b)
         assert sigma is not None
         assert np.array_equal(sigma, ppt_minimizer_reference(rho, rho_b, _newton_step))
+
+    def test_line_search_starts_inside_the_cone(self, monkeypatch):
+        # Steps with squared decrement >= 1 start from the first feasible
+        # halving instead of probing points outside the cone: about 100
+        # barrier evaluations per solve when every halving is probed.
+        from qcorr import quantumness
+
+        calls = []
+        barrier_point = quantumness._barrier_point
+
+        def counted(*args):
+            calls[-1] += 1
+            return barrier_point(*args)
+
+        monkeypatch.setattr(quantumness, "_barrier_point", counted)
+        for seed in range(10):
+            rho = random_density((2, 2), seed).matrix
+            calls.append(0)
+            assert quantumness._ppt_minimizer(rho, partial_trace(rho, (2, 2), [1])) is not None
+        assert np.median(calls) <= 45
 
     def test_singular_marginal_has_no_interior(self):
         from qcorr.quantumness import _newton_step, _ppt_minimizer

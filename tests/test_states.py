@@ -48,6 +48,16 @@ class TestValidateDensity:
         with pytest.raises(DimensionMismatch):
             validate_density(matrix, dims)
 
+    @pytest.mark.parametrize("dims", [(1.5, 4), (True, 4), (2.0, 2)])
+    def test_rejects_dims_that_are_not_integers(self, dims):
+        # int() would truncate 1.5 and True to 1 and return a state with dims (1, 4)
+        with pytest.raises(DimensionMismatch):
+            validate_density(np.eye(4) / 4, dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        state = validate_density(np.eye(4) / 4, np.array([2, 2]))
+        assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
+
     def test_rejects_dims_whose_product_overflows_int64(self):
         with pytest.raises(DimensionMismatch):
             validate_density(np.eye(2) / 2, (3, 6148914691236517206))
@@ -202,6 +212,21 @@ class TestRandomDensity:
     def test_dimension_cap(self):
         with pytest.raises(DimensionMismatch):
             random_density((4, 4), 0)
+
+    @pytest.mark.parametrize("dims", [(1.5, 2), (True, 2), (0, 2)])
+    def test_rejects_dims_that_are_not_positive_integers(self, dims):
+        with pytest.raises(DimensionMismatch):
+            random_density(dims, 0)
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "1"])
+    def test_rejects_seeds_that_are_not_non_negative_integers(self, seed):
+        # None would draw fresh entropy, True would act as 1, and numpy's own
+        # errors for -1 and 1.5 are not QcorrErrors
+        with pytest.raises(OutOfRange):
+            random_density((2, 2), seed)
+
+    def test_accepts_numpy_integer_seeds(self):
+        assert np.array_equal(random_density((2, 2), np.int64(7)).matrix, random_density((2, 2), 7).matrix)
 
 
 class TestKet:
