@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("path")
     cfg = OptimizerConfig()
     p_meas.add_argument("--grid", type=int, default=cfg.grid_resolution, help="samples per angle")
-    p_meas.add_argument("--refine", type=int, default=cfg.refine_iterations, help="zoom rounds (0: grid only)")
+    p_meas.add_argument("--refine", type=int, default=cfg.refine_iterations, help="cap on zoom rounds (0: grid only)")
     p_meas.add_argument("--tol", type=float, default=cfg.tolerance, help="optimizer tolerance")
     p_meas.add_argument("--json", action="store_true")
     p_meas.set_defaults(func=cmd_measures)

@@ -10,13 +10,13 @@ share a single optimizer run, which makes the identity
 hold by construction at the shared argmax; the same run minimizes the
 pinched entropy for the one-way deficit.  It is a (theta, phi) grid over
 the Bloch sphere, scanned in blocks of rows, then a batched zoom of both
-winners in lockstep: 7x7 grids in the tangent plane at each best point,
-halving their width each round.  It uses numpy alone and is deterministic
-for a fixed configuration.  A measurement is an axis {n, -n}, so the grid
-covers each once: phi runs over [0, pi).  Grid ties go to the first angle
-pair in (theta, phi) order.  The reported axis is the one of +/-n whose
-first nonzero coordinate in (y, x, z) order is positive, which puts theta
-in [0, pi] and phi in [0, pi).
+winners in lockstep: 13x13 grids in the tangent plane at each best point,
+quartering their width each round until it is below sqrt(eps).  It uses
+numpy alone and is deterministic for a fixed configuration.  A measurement
+is an axis {n, -n}, so the grid covers each once: phi runs over [0, pi).
+Grid ties go to the first angle pair in (theta, phi) order.  The reported
+axis is the one of +/-n whose first nonzero coordinate in (y, x, z) order
+is positive, which puts theta in [0, pi] and phi in [0, pi).
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ class OptimizerConfig:
     ``grid_resolution`` is the number of theta samples on [0, pi]; phi gets
     as many on [0, pi).  ``refine_iterations`` caps the zoom rounds
     (0 keeps the grid winner); the default never binds, since the zoom
-    reaches its width tolerance in 34 rounds.  Both must be integers, not
-    bools.  A measure in ``(-tolerance, 0)`` is reported as 0;
-    ``tolerance`` must be positive and finite.  The command line reads its
-    defaults from these fields.
+    reaches its sqrt(eps) width tolerance in 12 rounds at the default grid.
+    Both must be integers, not bools.  A measure in ``(-tolerance, 0)`` is
+    reported as 0; ``tolerance`` must be positive and finite.  The command
+    line reads its defaults from these fields.
     """
 
     grid_resolution: int = 64
@@ -83,7 +83,13 @@ class DiscordDecomposition:
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """All correlation measures of one state plus optimizer diagnostics."""
+    """All correlation measures of one state plus optimizer diagnostics.
+
+    ``diagnostics`` holds the evaluation count, the unclipped discord and
+    classical correlation, the one-way deficit's angles, and the zoom's
+    round count and whether its width tolerance was reached
+    (``zoom_rounds``, ``zoom_converged``).
+    """
 
     mutual_information: float
     discord: float
@@ -159,11 +165,14 @@ class ZoomResult:
     success: bool
 
 
-#: Offsets of the 7x7 zoom grid along the two tangent directions, in units of the half-width.
-_ZOOM_U = np.repeat(np.linspace(-1.0, 1.0, 7), 7)
-_ZOOM_V = np.tile(np.linspace(-1.0, 1.0, 7), 7)
-#: The zoom stops once its half-width falls below this.
-_ZOOM_XTOL = 1e-11
+#: Offsets of the 13x13 zoom grid along the two tangent directions, in units of the half-width.
+_ZOOM_U = np.repeat(np.linspace(-1.0, 1.0, 13), 13)
+_ZOOM_V = np.tile(np.linspace(-1.0, 1.0, 13), 13)
+#: The zoom stops once its half-width falls below sqrt(eps).  Near a smooth
+#: optimum a point at distance w is off in value by c w^2, which is below the
+#: rounding of the value (eps relative) once w < sqrt(eps): narrower rounds
+#: only chase rounding.
+_ZOOM_XTOL = math.sqrt(np.finfo(float).eps)
 
 
 def minimize(objective, theta, phi, value, width: float, rounds: int) -> ZoomResult:
@@ -173,12 +182,15 @@ def minimize(objective, theta, phi, value, width: float, rounds: int) -> ZoomRes
     stands for the direction of n + u e_theta + v e_phi, with e_theta and
     e_phi the unit tangents along theta and phi.  That chart is regular
     everywhere, poles included, and reaches twice the starting half-width
-    in every direction.  Each round evaluates, in one call, a 7x7 (u, v)
+    in every direction.  Each round evaluates, in one call, a 13x13 (u, v)
     grid of the current half-width around each start's current point (row i
-    of a (starts, 49) batch), moves a start to its first lowest point only
-    when that is strictly lower, and halves the width, so each start ends
-    where it would alone.  It stops when the width is below ``_ZOOM_XTOL``
-    or after ``rounds`` rounds.
+    of a (starts, 169) batch), moves a start to its first lowest point only
+    when that is strictly lower, and quarters the width, so each start ends
+    where it would alone.  The next half-width, w/4, is 1.5 spacings (w/6)
+    of this round's grid, so the next round reaches past the chosen point's
+    neighbours.  A round's cost is bound by numpy's per-call overhead more
+    than by its point count.  It stops when the width is below ``_ZOOM_XTOL``
+    (sqrt(eps)) or after ``rounds`` rounds.
     """
     theta, phi, value = (np.array(a, dtype=float) for a in (theta, phi, value))
     trig = [(math.sin(t), math.cos(t), math.sin(p), math.cos(p)) for t, p in zip(theta, phi)]
@@ -196,7 +208,7 @@ def minimize(objective, theta, phi, value, width: float, rounds: int) -> ZoomRes
         for k, idx in enumerate(np.argmin(values, axis=1)):
             if values[k, idx] < value[k]:
                 value[k], theta[k], phi[k], u[k], v[k] = values[k, idx], tt[k, idx], pp[k, idx], uu[k, idx], vv[k, idx]
-        width *= 0.5
+        width *= 0.25
     return ZoomResult(np.stack([theta, phi], axis=-1), value, nfev, width < _ZOOM_XTOL)
 
 
@@ -213,9 +225,10 @@ def _search(fano: np.ndarray, s_b: float, cfg: OptimizerConfig):
     when strictly better, so each winner is the first angle pair in (theta,
     phi) order whose computed value is optimal.  The zoom (:func:`minimize`)
     refines both winners in lockstep, on -J and on the pinched entropy,
-    from a half-width of two theta grid steps (2 pi/63 at the default grid),
-    for at most ``cfg.refine_iterations`` rounds.  Each winner, grid or
-    zoom, is reported by :func:`_axis_angles`.
+    from a half-width of two theta grid steps (2 pi/63 at the default grid,
+    which quarters below sqrt(eps) in 12 rounds), for at most
+    ``cfg.refine_iterations`` rounds.  Each winner, grid or zoom, is
+    reported by :func:`_axis_angles`; the zoom's own result comes third.
     """
 
     def objective(tt, pp):
@@ -237,10 +250,11 @@ def _search(fano: np.ndarray, s_b: float, cfg: OptimizerConfig):
                 best[k], start[k] = float(values[k, idx]), (float(tt[idx]), float(pp[idx]))
 
     zoom = minimize(objective, *zip(*start), best, 2.0 * (math.pi / (r - 1)), cfg.refine_iterations)
-    return [
+    measured, pinched = (
         OptimizationResult(sign * float(fun), *_axis_angles(*x), r * r + zoom.nfev // 2)
         for sign, fun, x in zip((-1.0, 1.0), zoom.fun, zoom.x)
-    ]
+    )
+    return measured, pinched, zoom
 
 
 def _axis_angles(theta: float, phi: float):
@@ -262,12 +276,14 @@ def _require_two_qubits(rho: DensityMatrix):
 
 @dataclass(frozen=True)
 class _Optimum:
-    """One search: the J argmax ``measured``, the pinched-entropy argmin ``pinched``, and the measures."""
+    """One search: the J argmax ``measured``, the pinched-entropy argmin ``pinched``, the
+    zoom that refined both, and the measures."""
 
     mutual_information: float
     s_ab: float
     measured: OptimizationResult
     pinched: OptimizationResult
+    zoom: ZoomResult
     raw_discord: float
     discord: float
     classical_correlation: float
@@ -280,11 +296,11 @@ def _optimize(rho: DensityMatrix, cfg: Optional[OptimizerConfig]) -> _Optimum:
     cfg = cfg or OptimizerConfig()
     s_a, s_b, s_ab = (von_neumann_entropy(x) for x in (rho.marginal([0]), rho.marginal([1]), rho))
     mi = s_a + s_b - s_ab
-    measured, pinched = _search(_fano_matrix(rho.matrix), s_b, cfg)
+    measured, pinched, zoom = _search(_fano_matrix(rho.matrix), s_b, cfg)
     # discord I - J*, classical correlation J*, one-way deficit P* - S(AB); (-tolerance, 0) reads 0
     raw = (mi - measured.value, measured.value, pinched.value - s_ab)
     clipped = (0.0 if -cfg.tolerance < v < 0.0 else v for v in raw)
-    return _Optimum(mi, s_ab, measured, pinched, raw[0], *clipped)
+    return _Optimum(mi, s_ab, measured, pinched, zoom, raw[0], *clipped)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +434,8 @@ def measure_report(rho: DensityMatrix, cfg: Optional[OptimizerConfig] = None) ->
             "raw_discord": opt.raw_discord,
             "raw_classical_correlation": opt.measured.value,
             "oneway_theta": opt.pinched.theta, "oneway_phi": opt.pinched.phi,
+            "zoom_rounds": opt.zoom.nfev // (opt.zoom.fun.size * _ZOOM_U.size),
+            "zoom_converged": opt.zoom.success,
         },
         warnings=messages,
     )

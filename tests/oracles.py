@@ -306,3 +306,38 @@ def ppt_minimizer_reference(rho4, rho_b, newton_step):
             return base[0] + (x @ _DIRECTIONS[0].reshape(12, 16)).reshape(4, 4)
         t = min(t * _T_FACTOR, _T_FINAL)
         point = _weighted(*point[1:3], t, weights)
+
+
+# ---------------------------------------------------------------------------
+# The measurement search's earlier zoom: a 7x7 tangent-plane stencil that
+# halves its width each round down to 1e-11, about 34 rounds from the
+# default start.  A drop-in for ``qcorr.measures.minimize``.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_ZOOM_U = np.repeat(np.linspace(-1.0, 1.0, 7), 7)
+_REFERENCE_ZOOM_V = np.tile(np.linspace(-1.0, 1.0, 7), 7)
+_REFERENCE_ZOOM_XTOL = 1e-11
+
+
+def zoom_reference(objective, theta, phi, value, width, rounds):
+    """The 7x7 halving zoom to a 1e-11 half-width, with the signature and result of ``minimize``."""
+    from qcorr.measures import ZoomResult
+
+    theta, phi, value = (np.array(a, dtype=float) for a in (theta, phi, value))
+    trig = [(math.sin(t), math.cos(t), math.sin(p), math.cos(p)) for t, p in zip(theta, phi)]
+    frame = np.array([[[st * cp, st * sp, ct], [ct * cp, ct * sp, -st], [-sp, cp, 0.0]] for st, ct, sp, cp in trig])
+    u, v, nfev = np.zeros_like(theta), np.zeros_like(theta), 0
+    for _ in range(rounds):
+        if width < _REFERENCE_ZOOM_XTOL:
+            break
+        uu, vv = u[:, None] + width * _REFERENCE_ZOOM_U, v[:, None] + width * _REFERENCE_ZOOM_V
+        n = frame[:, None, 0] + uu[..., None] * frame[:, None, 1] + vv[..., None] * frame[:, None, 2]
+        tt = np.arctan2(np.hypot(n[..., 0], n[..., 1]), n[..., 2])
+        pp = np.arctan2(n[..., 1], n[..., 0])
+        values = objective(tt, pp)
+        nfev += values.size
+        for k, idx in enumerate(np.argmin(values, axis=1)):
+            if values[k, idx] < value[k]:
+                value[k], theta[k], phi[k], u[k], v[k] = values[k, idx], tt[k, idx], pp[k, idx], uu[k, idx], vv[k, idx]
+        width *= 0.5
+    return ZoomResult(np.stack([theta, phi], axis=-1), value, nfev, width < _REFERENCE_ZOOM_XTOL)

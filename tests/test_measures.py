@@ -41,6 +41,7 @@ from oracles import (
     entropy_bits,
     qubit_unitary,
     xlog2,
+    zoom_reference,
 )
 
 FAST = OptimizerConfig(grid_resolution=32, refine_iterations=200)
@@ -426,12 +427,58 @@ class TestZoomRefinement:
         monkeypatch.setattr(measures, "minimize", recording)
         rho = random_density((2, 2), 56)
         measure_report(rho)
-        # one lockstep zoom for both objectives: 2 pi/63 halves below 1e-11
-        # after 34 rounds of 49 points each, well inside the default 200
-        assert [(r.nfev, r.success) for r in results] == [(2 * 34 * 49, True)]
+        # one lockstep zoom for both objectives: quartering 2 pi/63 falls below
+        # sqrt(eps) after 12 rounds (4^12 > 2 pi/63 / 1.49e-8 > 4^11) of 13x13
+        # points each, well inside the default 200
+        assert [(r.nfev, r.success) for r in results] == [(2 * 12 * 169, True)]
         results.clear()
         measure_report(rho, OptimizerConfig(refine_iterations=3))
-        assert [(r.nfev, r.success) for r in results] == [(2 * 3 * 49, False)]
+        assert [(r.nfev, r.success) for r in results] == [(2 * 3 * 169, False)]
+
+    @pytest.mark.parametrize(
+        "cfg, rounds, converged",
+        [
+            (OptimizerConfig(), 12, True),
+            # the zoom starts at 2 pi/255, which quarters below sqrt(eps) in 11 rounds
+            (OptimizerConfig(grid_resolution=256), 11, True),
+            (OptimizerConfig(refine_iterations=3), 3, False),
+            (OptimizerConfig(refine_iterations=0), 0, False),
+        ],
+    )
+    def test_report_says_how_the_zoom_ended(self, cfg, rounds, converged):
+        diagnostics = measure_report(random_density((2, 2), 56), cfg).diagnostics
+        assert (diagnostics["zoom_rounds"], diagnostics["zoom_converged"]) == (rounds, converged)
+
+    def test_values_match_the_halving_zoom(self, monkeypatch, random_two_qubit_corpus):
+        # The zoom stops at a sqrt(eps) half-width, where a 7x7 halving zoom
+        # went on to 1e-11: the measures agree to rounding, and so does the
+        # axis wherever the objective pins it (J and the pinched entropy are
+        # constant on a product state, so its axis is arbitrary).
+        states = [(rho, True) for rho in random_two_qubit_corpus]
+        states += [(example_separable(p), True) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        states += [
+            (classical_state(3), True),
+            (validate_density(bell_diagonal_state((0.3, -0.5, 0.2)), (2, 2)), True),
+            (product_state(4), False),
+        ]
+        reports = [measure_report(rho) for rho, _ in states]
+        monkeypatch.setattr(measures, "minimize", zoom_reference)
+
+        def axes(rep):
+            # the unit axes of the J argmax and of the pinched-entropy argmin
+            theta = np.array([rep.optimal_theta, rep.diagnostics["oneway_theta"]])
+            phi = np.array([rep.optimal_phi, rep.diagnostics["oneway_phi"]])
+            return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+
+        for (rho, determined), new in zip(states, reports):
+            old = measure_report(rho)
+            for name in ("discord", "classical_correlation", "oneway_deficit"):
+                assert abs(getattr(new, name) - getattr(old, name)) <= 1e-14
+            assert new.diagnostics["raw_classical_correlation"] >= old.diagnostics["raw_classical_correlation"] - 1e-14
+            assert new.oneway_deficit <= old.oneway_deficit + 1e-14  # the pinched entropy less S(rho)
+            if determined:
+                a, b = axes(new), axes(old)
+                assert np.all(np.minimum(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1)) <= 1e-6)
 
     def test_lockstep_starts_match_solo_runs(self):
         # each row of a lockstep zoom ends bit for bit where its start alone would

@@ -210,9 +210,11 @@ class TestCertifiedLowerBound:
         exact = von_neumann_entropy(rho.marginal([0]))
         assert exact - 1e-12 <= quantumness_upper_bound(rho).upper_bound <= exact + 1e-11
 
-    def test_infinite_product_candidate_loses_to_the_solver(self):
+    def test_pure_closed_form_ends_the_search_past_an_infinite_product_candidate(self):
         # rho_A (x) rho_B has eigenvalue angle^4 = 1e-12, which counts as
-        # kernel, while rho puts weight 1e-6 there: that candidate is infinite.
+        # kernel, while rho puts weight 1e-6 there: the product candidate is
+        # infinite.  The pure closed form (rho measured on B) comes second,
+        # meets the S(rho_A) floor and ends the search before the solver runs.
         rho = _two_qubit_pure(1e-3)
         marginals = np.kron(rho.marginal([0]).matrix, rho.marginal([1]).matrix)
         assert relative_entropy(rho.matrix, marginals) == np.inf
