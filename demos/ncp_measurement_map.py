@@ -23,8 +23,8 @@ from qcorr import (
 np.set_printoptions(precision=4, suppress=True)
 
 # The assignment map extends a qubit state to ancilla (x) system using a
-# fixed operator basis, its duals, and one assigned ancilla state per basis
-# element.
+# fixed operator basis and one assigned ancilla state per basis element;
+# the duals follow from the basis.
 assignment = example_assignment()
 print("operator basis P_a:")
 for p in assignment.basis:

@@ -17,6 +17,7 @@ longer produced: every two-qubit input has one.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -209,7 +210,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description="Correlation measures and measurement maps for small density matrices.",

@@ -14,16 +14,17 @@ form, a negative eigenvalue means it does not (NCP).
 
 This module builds such maps for a projective measurement performed on an
 ancilla-extended system.  The extension is described by an assignment map:
-a fixed linearly independent basis {P_a} of system states, dual operators
-{Q_a} with Tr[P_a Q_b] = delta_ab and sum Q = I, and an assigned ancilla
-state tau_a for each basis element.  Sandwiching the assigned extension
-between the measurement projectors and tracing out the ancilla yields the
-induced map in closed form.
+a basis {P_a} of system states that spans the Hermitian operators, and an
+assigned ancilla state tau_a for each basis element.  The duals {Q_a}, with
+Tr[P_a Q_b] = delta_ab and sum Q = I, follow from the basis.  The assigned
+extension of rho is sum_a Tr[rho Q_a] tau_a (x) P_a; pinching it by the
+measurement and tracing out the ancilla is the induced map, for projectors
+of any rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -31,8 +32,8 @@ import numpy as np
 from .errors import DimensionMismatch, DualsDoNotResolveIdentity, NotDensity, SingularBasis
 from .linalg import EXACT_TOL, ROUNDING_TOL
 from .linalg import _square_operators, bloch_states, hermitian_eig, partial_trace, realign, tensor_product
-from .measurement import ProjectiveMeasurement
-from .states import KET_0, KET_1, validate_density
+from .measurement import ProjectiveMeasurement, _measurement_branches
+from .states import KET_0, KET_1, DensityMatrix, validate_density
 
 #: A basis whose Gram determinant is below this is linearly dependent.
 _SINGULAR_GRAM_DET = 1e-12
@@ -82,33 +83,23 @@ class AmapConditions:
 
 @dataclass(frozen=True)
 class AssignmentMap:
-    """Basis states, their duals, and the ancilla state assigned to each."""
+    """Basis states and the ancilla state assigned to each.
+
+    The basis must span the Hermitian operators of its dimension; its duals
+    are then unique and are derived by :func:`dual_Q`, which raises
+    :class:`SingularBasis` for a basis that does not span.
+    """
 
     basis: Tuple[np.ndarray, ...]
-    duals: Tuple[np.ndarray, ...]
     assigned: Tuple[np.ndarray, ...]
+    duals: Tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
         basis = _square_operators(self.basis, "basis element")
-        duals = _square_operators(self.duals, "dual")
+        duals = dual_Q(basis)
         assigned = _square_operators(self.assigned, "assigned state")
-        if not (len(basis) == len(duals) == len(assigned)):
-            raise DimensionMismatch(
-                f"got {len(basis)} basis elements, {len(duals)} duals, {len(assigned)} assigned states"
-            )
-        if duals[0].shape != basis[0].shape:
-            raise DimensionMismatch(f"duals have shape {duals[0].shape}, basis elements {basis[0].shape}")
-        d = basis[0].shape[0]
-        for a, p in enumerate(basis):
-            for b, q in enumerate(duals):
-                overlap = np.trace(p @ q)
-                target = 1.0 if a == b else 0.0
-                if not abs(overlap - target) <= EXACT_TOL:
-                    raise DimensionMismatch(
-                        f"Tr[P_{a} Q_{b}] = {overlap:.3e}, expected {target}"
-                    )
-        if not np.max(np.abs(sum(duals) - np.eye(d))) <= EXACT_TOL:
-            raise DualsDoNotResolveIdentity("duals do not sum to the identity")
+        if len(assigned) != len(basis):
+            raise DimensionMismatch(f"got {len(basis)} basis elements, {len(assigned)} assigned states")
         for t in assigned:
             validate_density(t, (t.shape[0],))
         object.__setattr__(self, "basis", basis)
@@ -131,8 +122,8 @@ class MeasurementMaps:
     a: AMap
     b: BMap
     projector_marginals: Tuple[np.ndarray, ...]  # rho^A_i = Tr_ancilla[Pi_i]
-    overlaps: np.ndarray  # q[i, a] = Tr[Pi_i (tau_a (x) P_a)]
-    eta: Tuple[np.ndarray, ...]  # eta_a = sum_i q[i, a] rho^A_i
+    overlaps: np.ndarray  # q[i, a] = Tr[Pi_i (tau_a (x) P_a) Pi_i]
+    eta: Tuple[np.ndarray, ...]  # eta_a = Tr_ancilla sum_i Pi_i (tau_a (x) P_a) Pi_i
     conditions: AmapConditions
 
 
@@ -231,7 +222,7 @@ def example_assignment() -> AssignmentMap:
     basis = qubit_basis_P()
     tau0 = KET_0.projector()
     tau1 = KET_1.projector()
-    return AssignmentMap(basis=basis, duals=dual_Q(basis), assigned=(tau0, tau1, tau1, tau0))
+    return AssignmentMap(basis=basis, assigned=(tau0, tau1, tau1, tau0))
 
 
 def assignment_apply(am: AssignmentMap, rho: np.ndarray) -> np.ndarray:
@@ -256,15 +247,17 @@ def assignment_apply(am: AssignmentMap, rho: np.ndarray) -> np.ndarray:
 def build_measurement_maps(am: AssignmentMap, m: ProjectiveMeasurement) -> MeasurementMaps:
     """Construct the A/B maps induced by measuring the assigned extension.
 
-    For each projector Pi_i on ancilla (x) system and each basis element:
+    For each basis element, X_a = tau_a (x) P_a is pinched by the projectors
+    Pi_i on ancilla (x) system, and
 
-        rho^A_i = Tr_ancilla[Pi_i]
-        q[i, a] = Tr[Pi_i (tau_a (x) P_a)]
-        eta_a   = sum_i q[i, a] rho^A_i
+        q[i, a] = Tr[Pi_i X_a Pi_i]
+        eta_a   = Tr_ancilla sum_i Pi_i X_a Pi_i
         B       = sum_a eta_a (x) Q_a^T,   A = realign(B)
 
-    so that apply_amap(A, rho) = sum_a Tr[rho Q_a] eta_a, which for rank-1
-    projectors reproduces tracing the pinched extension over the ancilla.
+    so that apply_amap(A, rho) = sum_a Tr[rho Q_a] eta_a is the pinched
+    extension of rho traced over the ancilla, for projectors of any rank.
+    When every Pi_i has rank 1, eta_a = sum_i q[i, a] rho^A_i with the
+    projector marginals rho^A_i = Tr_ancilla[Pi_i].
     """
     d = am.system_dim
     d_anc = am.ancilla_dim
@@ -272,32 +265,20 @@ def build_measurement_maps(am: AssignmentMap, m: ProjectiveMeasurement) -> Measu
         raise DimensionMismatch(
             f"measurement block dim {m.block_dim} != ancilla*system {d_anc * d}"
         )
-    marginals = tuple(
-        partial_trace(pi, (d_anc, d), [1]) for pi in m.projectors
-    )
-    overlaps = np.array(
-        [
-            [
-                np.trace(pi @ tensor_product(tau, p)).real
-                for tau, p in zip(am.assigned, am.basis)
-            ]
-            for pi in m.projectors
-        ]
-    )
-    eta = tuple(
-        sum(overlaps[i, a] * marginals[i] for i in range(len(m)))
-        for a in range(len(am.basis))
-    )
-    b_tensor = sum(
-        tensor_product(eta_a, q.T) for eta_a, q in zip(eta, am.duals)
-    )
-    b = BMap(d, b_tensor)
+    marginals = tuple(partial_trace(pi, (d_anc, d), [1]) for pi in m.projectors)
+    overlaps = np.empty((len(m), len(am.basis)))
+    eta = []
+    for a, (tau, p) in enumerate(zip(am.assigned, am.basis)):
+        extension = DensityMatrix((d_anc, d), tensor_product(tau, p))
+        branches, overlaps[:, a], _ = _measurement_branches(extension, m.projectors)
+        eta.append(partial_trace(sum(branches), (d_anc, d), [1]))
+    b = BMap(d, sum(tensor_product(eta_a, q.T) for eta_a, q in zip(eta, am.duals)))
     a = realign_b_to_a(b)
     return MeasurementMaps(
         a=a,
         b=b,
         projector_marginals=marginals,
         overlaps=overlaps,
-        eta=eta,
+        eta=tuple(eta),
         conditions=check_amap_conditions(a),
     )

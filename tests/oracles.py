@@ -341,3 +341,47 @@ def zoom_reference(objective, theta, phi, value, width, rounds):
                 value[k], theta[k], phi[k], u[k], v[k] = values[k, idx], tt[k, idx], pp[k, idx], uu[k, idx], vv[k, idx]
         width *= 0.5
     return ZoomResult(np.stack([theta, phi], axis=-1), value, nfev, width < _REFERENCE_ZOOM_XTOL)
+
+
+# ---------------------------------------------------------------------------
+# Measurement-induced maps by the rank-1 closed form: overlaps Tr[Pi_i X_a]
+# and eta_a = sum_i q[i, a] Tr_ancilla[Pi_i].  This equals the pinched
+# assigned extension only when every projector has rank 1.
+# ---------------------------------------------------------------------------
+
+def rank_one_measurement_maps(am, m):
+    """``MeasurementMaps`` of assignment ``am`` and rank-1 measurement ``m`` by the closed form."""
+    from qcorr.linalg import partial_trace, tensor_product
+    from qcorr.maps import BMap, MeasurementMaps, check_amap_conditions, realign_b_to_a
+
+    d = am.system_dim
+    d_anc = am.ancilla_dim
+    marginals = tuple(
+        partial_trace(pi, (d_anc, d), [1]) for pi in m.projectors
+    )
+    overlaps = np.array(
+        [
+            [
+                np.trace(pi @ tensor_product(tau, p)).real
+                for tau, p in zip(am.assigned, am.basis)
+            ]
+            for pi in m.projectors
+        ]
+    )
+    eta = tuple(
+        sum(overlaps[i, a] * marginals[i] for i in range(len(m)))
+        for a in range(len(am.basis))
+    )
+    b_tensor = sum(
+        tensor_product(eta_a, q.T) for eta_a, q in zip(eta, am.duals)
+    )
+    b = BMap(d, b_tensor)
+    a = realign_b_to_a(b)
+    return MeasurementMaps(
+        a=a,
+        b=b,
+        projector_marginals=marginals,
+        overlaps=overlaps,
+        eta=eta,
+        conditions=check_amap_conditions(a),
+    )

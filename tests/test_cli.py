@@ -104,6 +104,14 @@ class TestMeasures:
         assert main(["measures", path]) == 4
         assert capsys.readouterr().out == ""
 
+    def test_json_flag_does_not_leak_into_the_next_call(self, bell_file, capsys):
+        assert main(["measures", bell_file, "--json"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert main(["measures", bell_file]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("mutual information")
+        assert "{" not in out
+
     def test_sha_matches_file(self, bell_file, capsys):
         import hashlib
 

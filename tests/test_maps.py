@@ -24,6 +24,8 @@ from qcorr.linalg import PAULIS, partial_trace
 from qcorr.maps import AssignmentMap, apply_kraus
 from qcorr.measurement import ProjectiveMeasurement
 
+from oracles import rank_one_measurement_maps
+
 KNOWN_B = np.array(
     [[1, 0, 0, 0.5], [0, 0, 0.5, 0], [0, 0.5, 0, 0], [0.5, 0, 0, 1]], dtype=complex
 )
@@ -138,21 +140,15 @@ class TestAssignment:
 
     def test_rejects_empty_lists(self):
         with pytest.raises(DimensionMismatch):
-            AssignmentMap((), (), ())
+            AssignmentMap((), ())
 
-    @pytest.mark.parametrize("field", ["basis", "duals", "assigned"])
+    @pytest.mark.parametrize("field", ["basis", "assigned"])
     def test_rejects_mixed_shapes(self, field):
         am = example_assignment()
-        parts = {"basis": am.basis, "duals": am.duals, "assigned": am.assigned}
+        parts = {"basis": am.basis, "assigned": am.assigned}
         parts[field] = parts[field][:-1] + (np.eye(3) / 3,)
         with pytest.raises(DimensionMismatch):
             AssignmentMap(**parts)
-
-    def test_rejects_duals_of_another_dimension(self):
-        am = example_assignment()
-        duals = tuple(np.eye(3) / 3 for _ in am.duals)
-        with pytest.raises(DimensionMismatch):
-            AssignmentMap(am.basis, duals, am.assigned)
 
 
 class TestApplyAmap:
@@ -311,7 +307,71 @@ class TestBuildMeasurementMaps:
 
 
 class TestAssignmentMapValidation:
-    def test_rejects_mismatched_duals(self):
-        basis = qubit_basis_P()
-        with pytest.raises(Exception):
-            AssignmentMap(basis=basis, duals=basis, assigned=tuple(np.eye(2) / 2 for _ in basis))
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+            (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2, 0.5 * np.ones((2, 2))),
+        ],
+        ids=["two-elements", "dependent"],
+    )
+    def test_rejects_basis_that_does_not_span(self, basis):
+        with pytest.raises(SingularBasis):
+            AssignmentMap(basis, tuple(np.eye(2) / 2 for _ in basis))
+
+
+# Rank-2 measurements on ancilla (x) A: measuring the ancilla alone leaves A
+# untouched, and measuring sigma_3 on A alone dephases it.
+RANK_TWO_MEASUREMENTS = {
+    "ancilla": ProjectiveMeasurement((np.kron(np.diag([1.0, 0.0]), np.eye(2)), np.kron(np.diag([0.0, 1.0]), np.eye(2)))),
+    "system": ProjectiveMeasurement((np.kron(np.eye(2), np.diag([1.0, 0.0])), np.kron(np.eye(2), np.diag([0.0, 1.0])))),
+}
+
+
+class TestRankTwoMeasurementMaps:
+    @pytest.mark.parametrize("which", RANK_TWO_MEASUREMENTS)
+    def test_map_is_pinched_extension(self, which):
+        am = example_assignment()
+        m = RANK_TWO_MEASUREMENTS[which]
+        maps = build_measurement_maps(am, m)
+        assert maps.conditions.trace_residual <= 1e-12
+        for seed in range(5):
+            rho = random_density((2,), seed).matrix
+            extended = assignment_apply(am, rho)
+            expected = partial_trace(sum(pi @ extended @ pi for pi in m.projectors), (2, 2), [1])
+            assert np.max(np.abs(apply_amap(maps.a, rho) - expected)) <= 1e-12
+
+    def test_ancilla_measurement_is_identity_and_system_measurement_dephases(self):
+        am = example_assignment()
+        identity = build_measurement_maps(am, RANK_TWO_MEASUREMENTS["ancilla"]).a.tensor
+        dephasing = build_measurement_maps(am, RANK_TWO_MEASUREMENTS["system"]).a.tensor
+        assert np.max(np.abs(identity - np.eye(4))) <= 1e-12
+        assert np.max(np.abs(dephasing - np.diag([1.0, 0.0, 0.0, 1.0]))) <= 1e-12
+
+
+class TestRankOneReference:
+    """The pinched construction against the rank-1 closed form it replaced."""
+
+    def test_worked_example(self):
+        am, m = example_assignment(), example_extension_measurement()
+        got, want = build_measurement_maps(am, m), rank_one_measurement_maps(am, m)
+        assert np.array_equal(got.a.tensor, want.a.tensor)
+        assert np.array_equal(got.b.tensor, want.b.tensor)
+        for field in ("eta", "projector_marginals"):
+            assert all(np.array_equal(g, w) for g, w in zip(getattr(got, field), getattr(want, field)))
+        assert np.max(np.abs(got.overlaps - want.overlaps)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_rank_one_measurements(self, seed):
+        am, m = example_assignment(), random_block_measurement(seed)
+        got, want = build_measurement_maps(am, m), rank_one_measurement_maps(am, m)
+        for g, w in [
+            (got.a.tensor, want.a.tensor),
+            (got.b.tensor, want.b.tensor),
+            (got.overlaps, want.overlaps),
+            *zip(got.eta, want.eta),
+            *zip(got.projector_marginals, want.projector_marginals),
+        ]:
+            assert np.max(np.abs(g - w)) <= 1e-15
+        assert abs(got.conditions.hermiticity_residual - want.conditions.hermiticity_residual) <= 1e-15
+        assert abs(got.conditions.trace_residual - want.conditions.trace_residual) <= 1e-15

@@ -270,7 +270,7 @@ class TestSeparableEnsemble:
 
 def _nan_basis_assignment():
     am = example_assignment()
-    return AssignmentMap((_NAN_2X2,) + am.basis[1:], am.duals, am.assigned)
+    return AssignmentMap((_NAN_2X2,) + am.basis[1:], am.assigned)
 
 
 def _nan_witness_bound():
