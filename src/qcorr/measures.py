@@ -44,8 +44,8 @@ class OptimizerConfig:
     (0 keeps the grid winner); the default never binds, since the zoom
     reaches its sqrt(eps) width tolerance in 12 rounds at the default grid.
     Both must be integers, not bools.  A measure in ``(-tolerance, 0)`` is
-    reported as 0; ``tolerance`` must be positive and finite.  The command
-    line reads its defaults from these fields.
+    reported as 0; ``tolerance`` must be a positive finite number, not a
+    bool.  The command line reads its defaults from these fields.
     """
 
     grid_resolution: int = 64
@@ -61,7 +61,7 @@ class OptimizerConfig:
             raise OutOfRange(f"grid_resolution {self.grid_resolution} < 8")
         if self.refine_iterations < 0:
             raise OutOfRange(f"refine_iterations {self.refine_iterations} < 0")
-        if not 0 < self.tolerance < math.inf:  # also rejects NaN
+        if isinstance(self.tolerance, (bool, np.bool_)) or not 0 < self.tolerance < math.inf:  # also rejects NaN
             raise OutOfRange(f"tolerance {self.tolerance} must be positive and finite")
 
 

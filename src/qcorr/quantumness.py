@@ -31,7 +31,6 @@ from .measurement import (
 from .states import (
     DensityMatrix,
     SeparableEnsemble,
-    _matrix_of,
     example_extension,
     example_separable,
     validate_density,
@@ -430,10 +429,10 @@ def quantumness_upper_bound(rho: DensityMatrix) -> QuantumnessEstimate:
         if ensemble is rho.witness:
             if not residual <= ROUNDING_TOL:  # also true for a NaN residual
                 raise DimensionMismatch(f"witness B marginal is off by {residual:.3e} (tol {ROUNDING_TOL:.1e})")
-            factors = [_matrix_of(f) for f in (*ensemble.a_states, *ensemble.b_states)]
-            if any(f.shape != (2, 2) for f in factors):
-                raise DimensionMismatch(f"witness factor shapes {sorted({f.shape for f in factors})}, expected (2, 2)")
-            lowest = np.linalg.eigvalsh(np.stack(factors)).min()
+            shapes = (ensemble.a_states[0].shape, ensemble.b_states[0].shape)
+            if shapes != ((2, 2), (2, 2)):
+                raise DimensionMismatch(f"witness A and B factor shapes {shapes}, expected (2, 2)")
+            lowest = np.linalg.eigvalsh(np.stack((*ensemble.a_states, *ensemble.b_states))).min()
             if lowest < -ROUNDING_TOL:
                 raise NegativeEigenvalue(f"witness factor eigenvalue {lowest:.3e} below -{ROUNDING_TOL:.1e}")
         bound = relative_entropy(rho.matrix, sigma)

@@ -66,7 +66,10 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
 class SeparableEnsemble:
     """Convex mixture of product states, kept as its explicit terms.
 
-    The A factors are square matrices of one shape, and so are the B factors.
+    The factors may be given as matrices or as :class:`DensityMatrix`; they
+    are stored as tuples of complex arrays, the A factors of one square shape
+    and the B factors of another.  A NaN or infinite factor entry raises
+    :class:`NotDensity`.
     """
 
     weights: np.ndarray
@@ -81,16 +84,17 @@ class SeparableEnsemble:
             )
         if not (np.all(w >= -ZERO_WEIGHT_TOL) and abs(w.sum() - 1.0) <= ROUNDING_TOL):
             raise NotProbability(f"ensemble weights sum to {w.sum()}")
-        _square_operators([_matrix_of(a) for a in self.a_states], "A factor")
-        _square_operators([_matrix_of(b) for b in self.b_states], "B factor")
+        a_states = _square_operators([_matrix_of(a) for a in self.a_states], "A factor")
+        b_states = _square_operators([_matrix_of(b) for b in self.b_states], "B factor")
+        if not (np.isfinite(a_states).all() and np.isfinite(b_states).all()):
+            raise NotDensity("ensemble factor has non-finite entries")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "a_states", a_states)
+        object.__setattr__(self, "b_states", b_states)
 
     def assemble(self) -> np.ndarray:
         """Sum of weighted Kronecker products of the term factors."""
-        terms = [
-            w * tensor_product(_matrix_of(a), _matrix_of(b))
-            for w, a, b in zip(self.weights, self.a_states, self.b_states)
-        ]
+        terms = [w * tensor_product(a, b) for w, a, b in zip(self.weights, self.a_states, self.b_states)]
         return np.sum(terms, axis=0)
 
 
@@ -169,43 +173,38 @@ def pure_state(k: Ket, dims: Sequence[int]) -> DensityMatrix:
     return validate_density(k.projector(), dims)
 
 
+def _example_terms(p: float) -> list:
+    """The worked example's terms of positive weight as (weight, factor on A and on B, ancilla flag).
+
+    ``p`` must be a number in [0, 1], not a bool: :class:`OutOfRange` otherwise.
+    """
+    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
+        raise OutOfRange(f"mixing weight p={p!r} outside [0, 1]")
+    terms = [(p, KET_0.projector(), KET_1.projector()), (1.0 - p, KET_PLUS.projector(), KET_0.projector())]
+    return [term for term in terms if term[0] > 0.0]
+
+
 def example_separable(p: float) -> DensityMatrix:
     """Two-qubit mixture of |00><00| and |++><++| with weight ``p`` on the first.
 
     Separable for every ``p`` yet known to carry non-classical correlations
-    for intermediate mixing; its explicit product decomposition is attached
-    as a witness.
+    for intermediate mixing.  The state is assembled from its product terms
+    of positive weight, which it carries as its witness.
     """
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"mixing weight p={p} outside [0, 1]")
-    zz = kron_all(KET_0.projector(), KET_0.projector())
-    pp = kron_all(KET_PLUS.projector(), KET_PLUS.projector())
-    matrix = p * zz + (1.0 - p) * pp
-
-    weights, a_states, b_states = [], [], []
-    if p > ZERO_WEIGHT_TOL:
-        weights.append(p)
-        a_states.append(KET_0.projector())
-        b_states.append(KET_0.projector())
-    if 1.0 - p > ZERO_WEIGHT_TOL:
-        weights.append(1.0 - p)
-        a_states.append(KET_PLUS.projector())
-        b_states.append(KET_PLUS.projector())
-    witness = SeparableEnsemble(np.array(weights), tuple(a_states), tuple(b_states))
-    return validate_density(matrix, (2, 2), witness=witness)
+    terms = _example_terms(p)
+    factors = tuple(f for _, f, _ in terms)
+    witness = SeparableEnsemble(np.array([w for w, _, _ in terms]), factors, factors)
+    return validate_density(witness.assemble(), (2, 2), witness=witness)
 
 
 def example_extension(p: float) -> DensityMatrix:
     """Three-qubit extension of :func:`example_separable` by one ancilla qubit.
 
-    Ordering is ancilla x A x B; tracing out the ancilla recovers
-    ``example_separable(p)`` exactly.
+    Ordering is ancilla x A x B; each product term of the example is flagged
+    by its own ancilla state, and tracing the ancilla out recovers it.
     """
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"mixing weight p={p} outside [0, 1]")
-    first = kron_all(KET_1.projector(), KET_0.projector(), KET_0.projector())
-    second = kron_all(KET_0.projector(), KET_PLUS.projector(), KET_PLUS.projector())
-    return validate_density(p * first + (1.0 - p) * second, (2, 2, 2))
+    terms = _example_terms(p)
+    return validate_density(np.sum([w * kron_all(flag, f, f) for w, f, flag in terms], axis=0), (2, 2, 2))
 
 
 def classical_correlated(weights, projectors, states) -> DensityMatrix:
@@ -214,38 +213,26 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
     ``projectors`` is a :class:`~qcorr.measurement.ProjectiveMeasurement` on
     the A factor (or any sequence of projector matrices that passes its
     checks), ``states`` the matching B-side density matrices.  The term traces
-    ``q_a Tr P_a`` must be non-negative and sum to one.  Zero-weight terms
-    are skipped.  The built state carries its own ensemble as a separability
-    witness.
+    ``q_a Tr P_a`` must be non-negative and sum to one.  The state is
+    assembled from its witness: the ensemble of weights ``q_a Tr P_a`` and
+    factors ``P_a / Tr P_a`` and ``tau_a``, skipping terms with ``q_a`` at
+    most ``ZERO_WEIGHT_TOL``.
     """
     from .measurement import ProjectiveMeasurement  # a local import: measurement imports this module
 
     proj_list = ProjectiveMeasurement(tuple(getattr(projectors, "projectors", projectors))).projectors
-    state_list = [_matrix_of(s) for s in states]
+    state_list = _square_operators([_matrix_of(s) for s in states], "B state")
     w = np.asarray(weights, dtype=float)
     if not (len(proj_list) == len(state_list) == w.size):
-        raise DimensionMismatch(
-            f"got {w.size} weights, {len(proj_list)} projectors, {len(state_list)} states"
-        )
+        raise DimensionMismatch(f"got {w.size} weights, {len(proj_list)} projectors, {len(state_list)} states")
     ranks = np.array([pi.trace().real for pi in proj_list])
     traces = w * ranks
     if not (np.all(traces >= -ZERO_WEIGHT_TOL) and abs(traces.sum() - 1.0) <= ROUNDING_TOL):
         raise NotProbability(f"term traces q_a Tr P_a sum to {traces.sum()}")
-    state_list = _square_operators(state_list, "B state")
-
-    d_a = proj_list[0].shape[0]
-    d_b = state_list[0].shape[0]
-    matrix = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    weights_out, a_out, b_out = [], [], []
-    for q, rank, pi, tau in zip(w, ranks, proj_list, state_list):
-        if q <= ZERO_WEIGHT_TOL:
-            continue
-        matrix += q * tensor_product(pi, tau)
-        weights_out.append(q * rank)
-        a_out.append(pi / rank)
-        b_out.append(tau)
-    witness = SeparableEnsemble(np.array(weights_out), tuple(a_out), tuple(b_out))
-    return validate_density(matrix, (d_a, d_b), witness=witness)
+    kept = [a for a, q in enumerate(w) if q > ZERO_WEIGHT_TOL]
+    a_out = tuple(proj_list[a] / ranks[a] for a in kept)
+    witness = SeparableEnsemble(traces[kept], a_out, tuple(state_list[a] for a in kept))
+    return validate_density(witness.assemble(), (proj_list[0].shape[0], state_list[0].shape[0]), witness=witness)
 
 
 def random_density(dims: Sequence[int], seed: int) -> DensityMatrix:

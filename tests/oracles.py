@@ -385,3 +385,81 @@ def rank_one_measurement_maps(am, m):
         eta=eta,
         conditions=check_amap_conditions(a),
     )
+
+
+# ---------------------------------------------------------------------------
+# The separable builders as they were before they assembled each state from
+# its witness: the worked example's matrices written out by hand, and
+# classical_correlated's matrix and witness built in one loop side by side.
+# ---------------------------------------------------------------------------
+
+def example_separable_reference(p):
+    """The two-qubit mixture p|00><00| + (1 - p)|++><++| with its hand-built witness."""
+    from qcorr.errors import OutOfRange
+    from qcorr.linalg import ZERO_WEIGHT_TOL
+    from qcorr.states import KET_0, KET_PLUS, SeparableEnsemble, kron_all, validate_density
+
+    if not 0.0 <= p <= 1.0:
+        raise OutOfRange(f"mixing weight p={p} outside [0, 1]")
+    zz = kron_all(KET_0.projector(), KET_0.projector())
+    pp = kron_all(KET_PLUS.projector(), KET_PLUS.projector())
+    matrix = p * zz + (1.0 - p) * pp
+
+    weights, a_states, b_states = [], [], []
+    if p > ZERO_WEIGHT_TOL:
+        weights.append(p)
+        a_states.append(KET_0.projector())
+        b_states.append(KET_0.projector())
+    if 1.0 - p > ZERO_WEIGHT_TOL:
+        weights.append(1.0 - p)
+        a_states.append(KET_PLUS.projector())
+        b_states.append(KET_PLUS.projector())
+    witness = SeparableEnsemble(np.array(weights), tuple(a_states), tuple(b_states))
+    return validate_density(matrix, (2, 2), witness=witness)
+
+
+def example_extension_reference(p):
+    """The ancilla x A x B extension p|100><100| + (1 - p)|0++><0++|, written out."""
+    from qcorr.errors import OutOfRange
+    from qcorr.states import KET_0, KET_1, KET_PLUS, kron_all, validate_density
+
+    if not 0.0 <= p <= 1.0:
+        raise OutOfRange(f"mixing weight p={p} outside [0, 1]")
+    first = kron_all(KET_1.projector(), KET_0.projector(), KET_0.projector())
+    second = kron_all(KET_0.projector(), KET_PLUS.projector(), KET_PLUS.projector())
+    return validate_density(p * first + (1.0 - p) * second, (2, 2, 2))
+
+
+def classical_correlated_reference(weights, projectors, states):
+    """sum_a q_a P_a (x) tau_a accumulated term by term, with the witness built beside it."""
+    from qcorr.errors import DimensionMismatch, NotProbability
+    from qcorr.linalg import ROUNDING_TOL, ZERO_WEIGHT_TOL, _square_operators, tensor_product
+    from qcorr.measurement import ProjectiveMeasurement
+    from qcorr.states import SeparableEnsemble, _matrix_of, validate_density
+
+    proj_list = ProjectiveMeasurement(tuple(getattr(projectors, "projectors", projectors))).projectors
+    state_list = [_matrix_of(s) for s in states]
+    w = np.asarray(weights, dtype=float)
+    if not (len(proj_list) == len(state_list) == w.size):
+        raise DimensionMismatch(
+            f"got {w.size} weights, {len(proj_list)} projectors, {len(state_list)} states"
+        )
+    ranks = np.array([pi.trace().real for pi in proj_list])
+    traces = w * ranks
+    if not (np.all(traces >= -ZERO_WEIGHT_TOL) and abs(traces.sum() - 1.0) <= ROUNDING_TOL):
+        raise NotProbability(f"term traces q_a Tr P_a sum to {traces.sum()}")
+    state_list = _square_operators(state_list, "B state")
+
+    d_a = proj_list[0].shape[0]
+    d_b = state_list[0].shape[0]
+    matrix = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+    weights_out, a_out, b_out = [], [], []
+    for q, rank, pi, tau in zip(w, ranks, proj_list, state_list):
+        if q <= ZERO_WEIGHT_TOL:
+            continue
+        matrix += q * tensor_product(pi, tau)
+        weights_out.append(q * rank)
+        a_out.append(pi / rank)
+        b_out.append(tau)
+    witness = SeparableEnsemble(np.array(weights_out), tuple(a_out), tuple(b_out))
+    return validate_density(matrix, (d_a, d_b), witness=witness)

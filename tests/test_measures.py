@@ -254,7 +254,7 @@ class TestOptimizerBehaviour:
             OptimizerConfig(grid_resolution=4)
         with pytest.raises(OutOfRange):
             OptimizerConfig(tolerance=0.0)
-        for bad in (math.nan, math.inf):
+        for bad in (math.nan, math.inf, True, np.True_):
             with pytest.raises(OutOfRange):
                 OptimizerConfig(tolerance=bad)
         for name in ("grid_resolution", "refine_iterations"):

@@ -27,6 +27,7 @@ from qcorr.measurement import ProjectiveMeasurement
 from qcorr.states import Ket, SeparableEnsemble, ket
 
 from conftest import classical_state
+from oracles import classical_correlated_reference, example_extension_reference, example_separable_reference
 
 
 class TestValidateDensity:
@@ -119,6 +120,13 @@ class TestExampleSeparable:
         with pytest.raises(OutOfRange):
             example_separable(1.5)
 
+    @pytest.mark.parametrize("build", [example_separable, example_extension])
+    @pytest.mark.parametrize("p", [True, False, np.True_, math.nan])
+    def test_mixing_weight_must_be_a_number_in_range(self, build, p):
+        # True would otherwise build p = 1, and False p = 0
+        with pytest.raises(OutOfRange):
+            build(p)
+
 
 class TestExampleExtension:
     def test_p_one_is_basis_projector(self):
@@ -194,6 +202,70 @@ class TestClassicalCorrelated:
     def test_witness_reassembles_state(self):
         state = classical_state(3)
         assert np.linalg.norm(state.witness.assemble() - state.matrix) < 1e-12
+
+
+_PINNED_P = [0.0, 1e-13, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-13, 1.0]
+_PINNED_P += [float(p) for p in np.random.default_rng(23).uniform(size=20)]
+
+
+def _classical_correlated_inputs(seed):
+    """Seeded weights, projectors and B states for :func:`classical_correlated`.
+
+    The projector ranks cycle through (1, 1), (2, 1, 1) on a 4-dim A, (1, 2)
+    and (2, 2); every fifth input has a zero-weight term.
+    """
+    rng = np.random.default_rng(seed)
+    ranks = [(1, 1), (2, 1, 1), (1, 2), (2, 2)][seed % 4]
+    d = sum(ranks)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    edges = np.cumsum((0,) + ranks)
+    projectors = [u[:, lo:hi] @ u[:, lo:hi].conj().T for lo, hi in zip(edges[:-1], edges[1:])]
+    traces = rng.dirichlet(np.ones(len(ranks)))
+    if seed % 5 == 0:
+        traces[0] = 0.0
+        traces /= traces.sum()
+    states = [random_density((2,), int(s)).matrix for s in rng.integers(0, 2**20, len(ranks))]
+    return traces / np.array(ranks), projectors, states
+
+
+class TestSeparableBuildersFromTheirWitness:
+    """The separable builders assemble each state from the witness it carries."""
+
+    @pytest.mark.parametrize("p", _PINNED_P)
+    def test_example_matrices_match_the_written_out_mixture(self, p):
+        assert np.array_equal(example_separable(p).matrix, example_separable_reference(p).matrix)
+        assert np.array_equal(example_extension(p).matrix, example_extension_reference(p).matrix)
+
+    @pytest.mark.parametrize("p", _PINNED_P)
+    def test_example_witness_reassembles_its_state(self, p):
+        state = example_separable(p)
+        assert np.max(np.abs(state.witness.assemble() - state.matrix)) <= 1e-15
+
+    @pytest.mark.parametrize("p", _PINNED_P)
+    def test_ancilla_trace_of_the_extension_is_the_example(self, p):
+        ext = example_extension(p)
+        reduced = partial_trace(ext.matrix, ext.dims, [1, 2])
+        assert np.max(np.abs(reduced - example_separable(p).matrix)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_classical_correlated_matches_the_term_by_term_sum(self, seed):
+        inputs = _classical_correlated_inputs(seed)
+        state, reference = classical_correlated(*inputs), classical_correlated_reference(*inputs)
+        assert state.dims == reference.dims
+        # A projector trace a few ulps off a power of two moves the last bit of q_a Tr P_a
+        assert np.max(np.abs(state.matrix - reference.matrix)) <= 2 * np.finfo(float).eps
+        assert np.max(np.abs(state.witness.assemble() - state.matrix)) <= 1e-15
+        assert np.array_equal(state.witness.weights, reference.witness.weights)
+
+    def test_density_matrix_factors_are_stored_as_arrays(self):
+        a_states = (random_density((2,), 1), random_density((2,), 2))
+        b_states = (random_density((2,), 3), random_density((2,), 4))
+        from_states = SeparableEnsemble(np.array([0.25, 0.75]), a_states, b_states)
+        from_matrices = SeparableEnsemble(
+            np.array([0.25, 0.75]), tuple(a.matrix for a in a_states), tuple(b.matrix for b in b_states)
+        )
+        assert all(type(f) is np.ndarray for f in (*from_states.a_states, *from_states.b_states))
+        assert np.array_equal(from_states.assemble(), from_matrices.assemble())
 
 
 class TestRandomDensity:
@@ -287,6 +359,8 @@ def _nan_witness_bound():
         lambda: ket(0, 0),
         lambda: ket(math.nan, 1),
         lambda: SeparableEnsemble(np.array([math.nan]), (_MIXED,), (_MIXED,)),
+        lambda: SeparableEnsemble(np.array([1.0]), (_NAN_2X2,), (_MIXED,)),
+        lambda: SeparableEnsemble(np.array([1.0]), (_MIXED,), (np.full((2, 2), math.inf, dtype=complex),)),
         lambda: classical_correlated([math.nan, 1.0], bloch_projectors(0.0, 0.0), [_MIXED, _MIXED]),
         lambda: ProjectiveMeasurement((_NAN_2X2, _NAN_2X2)),
         lambda: bloch_projectors(math.nan, 0.0),
@@ -300,7 +374,8 @@ def _nan_witness_bound():
     ],
     ids=[
         "shannon_entropy", "shannon_mutual_information", "Ket", "ket-zero", "ket-nan",
-        "SeparableEnsemble", "classical_correlated", "ProjectiveMeasurement", "bloch_projectors",
+        "SeparableEnsemble", "SeparableEnsemble-nan-factor", "SeparableEnsemble-inf-factor",
+        "classical_correlated", "ProjectiveMeasurement", "bloch_projectors",
         "bloch_projectors-inf", "apply_povm_elements", "AssignmentMap", "dual_Q", "quantumness_upper_bound-witness",
         "apply_amap", "assignment_apply",
     ],
