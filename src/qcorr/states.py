@@ -212,7 +212,9 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
 
     ``projectors`` is a :class:`~qcorr.measurement.ProjectiveMeasurement` on
     the A factor (or any sequence of projector matrices that passes its
-    checks), ``states`` the matching B-side density matrices.  The term traces
+    checks), ``states`` the matching B-side density matrices: one that is
+    not Hermitian, of unit trace and of eigenvalues at least ``-ROUNDING_TOL``
+    raises :class:`NotDensity`, whatever its weight.  The term traces
     ``q_a Tr P_a`` must be non-negative and sum to one.  The state is
     assembled from its witness: the ensemble of weights ``q_a Tr P_a`` and
     factors ``P_a / Tr P_a`` and ``tau_a``, skipping terms with ``q_a`` at
@@ -222,6 +224,11 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
 
     proj_list = ProjectiveMeasurement(tuple(getattr(projectors, "projectors", projectors))).projectors
     state_list = _square_operators([_matrix_of(s) for s in states], "B state")
+    for i, tau in enumerate(state_list):
+        defect = hermiticity_defect(tau)
+        if not defect <= ROUNDING_TOL:  # also true for a NaN defect
+            raise NotDensity(f"B state {i} has Hermiticity defect {defect:.3e} (tol {ROUNDING_TOL:.1e})")
+        _require_density_spectrum(tau.trace().real, np.linalg.eigvalsh(tau)[0])
     w = np.asarray(weights, dtype=float)
     if not (len(proj_list) == len(state_list) == w.size):
         raise DimensionMismatch(f"got {w.size} weights, {len(proj_list)} projectors, {len(state_list)} states")

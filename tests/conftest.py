@@ -17,6 +17,13 @@ def product_state(seed):
     return validate_density(np.kron(a, b), (2, 2))
 
 
+def low_rank_density(rank, seed):
+    """Random two-qubit state of the given rank: G G^dag normalized, G a 4 x rank complex Gaussian."""
+    rng = np.random.default_rng([seed, rank])
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    return validate_density(g @ g.conj().T / np.linalg.norm(g) ** 2, (2, 2))
+
+
 def classical_state(seed, commuting_b=True):
     """Random classically correlated two-qubit state.
 

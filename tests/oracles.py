@@ -278,8 +278,11 @@ def _weighted(lam, u, t, weights):
     return -float(np.sum(np.diagonal(xt, axis1=-2, axis2=-1).real * np.log(lam))), lam, u, xt
 
 
-def ppt_minimizer_reference(rho4, rho_b, newton_step):
-    """The PPT sigma with Tr_A sigma = rho_B closest to rho, or None when rho_B is singular."""
+def ppt_minimizer_reference(rho4, rho_b, newton_step, t_final=_T_FINAL):
+    """The PPT sigma with Tr_A sigma = rho_B closest to rho, or None when rho_B is singular.
+
+    ``t_final`` cuts the loop after the stage at that barrier weight, one of 1, 300, 300^2, ...
+    """
     base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])
     weights = np.stack([rho4, np.zeros_like(rho4)])
     x, t = np.zeros(12), 1.0
@@ -302,9 +305,9 @@ def ppt_minimizer_reference(rho4, rho_b, newton_step):
                 if trial is None or trial[0] > value - 0.25 * alpha * decrement:
                     break
             x, point = x + alpha * step, trial
-        if t == _T_FINAL:
+        if t == t_final:
             return base[0] + (x @ _DIRECTIONS[0].reshape(12, 16)).reshape(4, 4)
-        t = min(t * _T_FACTOR, _T_FINAL)
+        t = min(t * _T_FACTOR, t_final)
         point = _weighted(*point[1:3], t, weights)
 
 

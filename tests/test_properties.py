@@ -15,7 +15,7 @@ from qcorr import (
     von_neumann_entropy,
 )
 
-from conftest import classical_state
+from conftest import classical_state, low_rank_density
 
 CFG = OptimizerConfig(grid_resolution=32)
 
@@ -65,3 +65,24 @@ def test_quantumness_vanishes_exactly_on_separable_states(kind, seed):
         von_neumann_entropy(rho.marginal([1])) - s_ab,
     )
     assert coherent - 1e-9 <= bound <= measure_report(rho, CFG).oneway_deficit + 1e-6
+
+
+#: Two-qubit states by rank; ranks 2 and 3 include inputs whose KKT finish is rejected.
+RANKED = {1: pure_state, 2: lambda seed: low_rank_density(2, seed), 3: lambda seed: low_rank_density(3, seed),
+          4: lambda seed: random_density((2, 2), seed)}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(rank=st.sampled_from(sorted(RANKED)), seed=st.integers(0, 2**20))
+def test_quantumness_lies_between_its_bounds(rank, seed):
+    """floor <= lower_bound <= upper_bound <= one-way deficit, to rounding.
+
+    The floor is the coherent information; ``lower_bound`` is the larger of
+    it and the KKT finish's certificate.
+    """
+    rho = RANKED[rank](seed)
+    estimate = quantumness_upper_bound(rho)
+    s_ab = von_neumann_entropy(rho)
+    floor = max(0.0, von_neumann_entropy(rho.marginal([0])) - s_ab, von_neumann_entropy(rho.marginal([1])) - s_ab)
+    assert floor - 1e-12 <= estimate.lower_bound <= estimate.upper_bound + 1e-12
+    assert estimate.upper_bound <= measure_report(rho, CFG).oneway_deficit + 1e-6

@@ -22,7 +22,7 @@ from qcorr.maps import dual_Q
 from qcorr.measurement import ProjectiveMeasurement
 from qcorr.states import SeparableEnsemble
 
-from conftest import classical_state, product_state
+from conftest import classical_state, low_rank_density, product_state
 from oracles import (
     BELL_TETRAHEDRON,
     bell_diagonal_quantumness,
@@ -322,8 +322,10 @@ class TestClosedFormOracles:
             weights = rng.dirichlet(np.ones(4))
             u = np.kron(qubit_unitary(rng), qubit_unitary(rng))
             matrix = u @ bell_diagonal_state(weights @ BELL_TETRAHEDRON) @ u.conj().T
-            bound = quantumness_upper_bound(validate_density(matrix, (2, 2))).upper_bound
-            assert abs(bound - bell_diagonal_quantumness(weights)) < 1e-9
+            estimate = quantumness_upper_bound(validate_density(matrix, (2, 2)))
+            exact = bell_diagonal_quantumness(weights)
+            assert abs(estimate.upper_bound - exact) < 1e-9
+            assert estimate.lower_bound - 1e-12 <= exact <= estimate.upper_bound + 1e-12
 
     def test_pure_states(self):
         rng = np.random.default_rng(1655)
@@ -332,8 +334,10 @@ class TestClosedFormOracles:
         for psi in schmidt + haar:
             psi = np.asarray(psi, dtype=complex) / np.linalg.norm(psi)
             rho = validate_density(np.outer(psi, psi.conj()), (2, 2))
-            bound = quantumness_upper_bound(rho).upper_bound
-            assert abs(bound - pure_quantumness(psi)) < 1e-9
+            estimate = quantumness_upper_bound(rho)
+            exact = pure_quantumness(psi)
+            assert abs(estimate.upper_bound - exact) < 1e-9
+            assert estimate.lower_bound - 1e-12 <= exact <= estimate.upper_bound + 1e-12
 
     def test_classical_quantum_states(self):
         rng = np.random.default_rng(2010)
@@ -342,7 +346,67 @@ class TestClosedFormOracles:
             matrix = classical_quantum_state(rng.dirichlet(np.ones(2)), qubit_unitary(rng), b_states)
             u_b = np.kron(np.eye(2), qubit_unitary(rng))
             rho = validate_density(u_b @ matrix @ u_b.conj().T, (2, 2))
-            assert quantumness_upper_bound(rho).upper_bound < 1e-9
+            estimate = quantumness_upper_bound(rho)
+            assert estimate.upper_bound < 1e-9
+            assert estimate.lower_bound - 1e-12 <= 0.0 <= estimate.upper_bound + 1e-12
+
+
+class TestFaceCertificate:
+    """The KKT finish's weak-duality bound: valid at any point, closing at the optimum."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [_werner(0.8), _werner(0.5)] + [random_density((2, 2), s).matrix for s in (3, 8, 61)],
+        ids=["werner-0.8", "werner-0.5", "random-3", "random-8", "random-61"],
+    )
+    def test_finish_closes_its_certificate(self, matrix):
+        from qcorr._ppt import _STAGES
+
+        rho = validate_density(matrix, (2, 2))
+        estimate = quantumness_upper_bound(rho)
+        s_ab = von_neumann_entropy(rho)
+        floor = max(0.0, von_neumann_entropy(rho.marginal([0])) - s_ab, von_neumann_entropy(rho.marginal([1])) - s_ab)
+        # The certificate, not the floor, sets the lower bound, and it closes to the last barrier gap.
+        assert estimate.lower_bound > floor + 1e-3
+        assert -1e-15 <= estimate.upper_bound - estimate.lower_bound <= 8.0 / _STAGES[-1] / np.log(2.0)
+
+    def test_werner_state_meets_its_closed_form(self):
+        # 0.8 |Phi+><Phi+| + 0.2 I/4 has Bell fidelity 0.85: the quantumness is 1 - h(0.85).
+        estimate = quantumness_upper_bound(validate_density(_werner(0.8), (2, 2)))
+        exact = bell_diagonal_quantumness([0.85, 0.05, 0.05, 0.05])
+        assert abs(estimate.upper_bound - exact) <= 1e-14
+        assert estimate.lower_bound - 1e-14 <= exact
+
+    @pytest.mark.parametrize("mu", [0.0, 0.25, 1.0, 4.0])
+    def test_certificate_anywhere_stays_below_the_minimum(self, mu):
+        # At sigma(0) = (I/2) (x) rho_B with mu = 0, dropping eps would give f(sigma(0)) itself,
+        # far above the minimum.  (A flipped Z_2 fails to close at the optimum instead.)
+        from qcorr._ppt import _DIRECTIONS, _face_certificate
+
+        rng = np.random.default_rng(24)
+        for _ in range(6):
+            weights = rng.dirichlet([8.0, 1.0, 1.0, 1.0])
+            u_ab = np.kron(qubit_unitary(rng), qubit_unitary(rng))
+            rho = u_ab @ bell_diagonal_state(weights @ BELL_TETRAHEDRON) @ u_ab.conj().T
+            rho_b = partial_trace(rho, (2, 2), [1])
+            base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])
+            exact = bell_diagonal_quantumness(weights) + von_neumann_entropy(validate_density(rho, (2, 2)))
+            for x in [np.zeros(12), *rng.uniform(-0.1, 0.1, (4, 12))]:
+                lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS.reshape(2, 12, 16)).reshape(2, 4, 4))
+                weight = u[0].conj().T @ rho @ u[0]
+                bound, _ = _face_certificate(lam, u, weight, mu, rho_b)
+                assert bound / np.log(2.0) <= exact + 1e-12
+
+
+_SOLVER_CASES = [*range(10), "pure", "separable"]
+
+
+def _solver_case(case):
+    if case == "pure":
+        return _two_qubit_pure(0.3).matrix
+    if case == "separable":
+        return example_separable(0.4).matrix
+    return random_density((2, 2), case).matrix
 
 
 class TestPptSolve:
@@ -398,7 +462,7 @@ class TestPptSolve:
         assert coherent - 1e-9 <= bound <= relative_entropy(rho.matrix, marginals)
 
     def test_second_divided_differences_of_close_eigenvalues(self):
-        from qcorr.quantumness import _log_dd1, _log_dd2
+        from qcorr._ppt import _log_dd1, _log_dd2
 
         # Ascending spectra with spreads up to the 1e-3 switch to the Taylor
         # series, where the textbook quotient, in extended precision, is still
@@ -420,7 +484,7 @@ class TestPptSolve:
         assert got[1, 3, 3, 3] == -0.5 / 0.6**2
 
     def test_second_divided_differences_match_the_sorting_network(self):
-        from qcorr.quantumness import _TAYLOR_SPREAD, _log_dd1, _log_dd2
+        from qcorr._ppt import _TAYLOR_SPREAD, _log_dd1, _log_dd2
 
         rng = np.random.default_rng(16)
         lam = np.sort(rng.uniform(1e-6, 1.0, (200, 2, 4)), axis=-1)
@@ -433,7 +497,7 @@ class TestPptSolve:
     def test_first_divided_differences_match_extended_precision(self):
         import mpmath
 
-        from qcorr.quantumness import _log_dd1
+        from qcorr._ppt import _log_dd1
 
         ratios = [1.0, 1 + 1e-15, 1 + 1e-9, 1 + 1e-4, 1.5, 2.9, 3.0, 3.1, 10.0, 1e3, 1e8, 1e12]
         pairs = [(a, a * r) for a in (1e-12, 1e-9, 1e-6, 1e-3, 0.3, 1.0) for r in ratios]
@@ -447,7 +511,7 @@ class TestPptSolve:
                 assert abs(mpmath.mpf(g) / exact - 1) <= 4 * np.finfo(float).eps, (x, y)
 
     def test_gradient_and_hessian_match_finite_differences(self):
-        from qcorr.quantumness import _barrier_point, _newton_step
+        from qcorr._ppt import _barrier_point, _newton_step
 
         rho = random_density((2, 2), 31).matrix
         rho_b = rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
@@ -466,7 +530,7 @@ class TestPptSolve:
         assert curvature == pytest.approx(decrement, rel=1e-4)
 
     def test_newton_step_matches_the_reference_step(self):
-        from qcorr.quantumness import _barrier_point, _newton_step
+        from qcorr._ppt import _barrier_point, _newton_step
 
         rng = np.random.default_rng(17)
         rhos = [random_density((2, 2), s).matrix for s in range(30)]
@@ -483,43 +547,103 @@ class TestPptSolve:
                 assert np.linalg.norm(step - expected_step) <= 1e-12 * np.linalg.norm(expected_step)
                 assert decrement == pytest.approx(expected_decrement, rel=1e-12)
 
-    @pytest.mark.parametrize("case", [*range(10), "pure", "separable"])
-    def test_minimizer_matches_the_reference_loop(self, case):
-        from qcorr.quantumness import _newton_step, _ppt_minimizer
+    @pytest.mark.parametrize("case", _SOLVER_CASES)
+    def test_face_stages_match_the_reference_loop_cut_at_300_squared(self, case, monkeypatch):
+        from qcorr import _ppt
 
-        if case == "pure":
-            rho = _two_qubit_pure(0.3).matrix
-        elif case == "separable":
-            rho = example_separable(0.4).matrix
-        else:
-            rho = random_density((2, 2), case).matrix
+        starts = []
+        finish = _ppt._kkt_finish
+
+        def recorded(x, base, *args):
+            starts.append(base[0] + (x @ _ppt._DIRECTIONS[0].reshape(12, 16)).reshape(4, 4))
+            return finish(x, base, *args)
+
+        monkeypatch.setattr(_ppt, "_kkt_finish", recorded)
+        rho = _solver_case(case)
         rho_b = partial_trace(rho, (2, 2), [1])
-        sigma = _ppt_minimizer(rho, rho_b)
-        assert sigma is not None
-        assert np.array_equal(sigma, ppt_minimizer_reference(rho, rho_b, _newton_step))
+        assert _ppt._ppt_minimizer(rho, rho_b) is not None
+        cut = ppt_minimizer_reference(rho, rho_b, _ppt._newton_step, t_final=300.0**2)
+        assert len(starts) == 1 and np.array_equal(starts[0], cut)
+
+    @pytest.mark.parametrize("case", _SOLVER_CASES)
+    def test_bound_is_never_above_the_full_reference_loop(self, case):
+        from qcorr._ppt import _newton_step, _ppt_minimizer
+        from qcorr.quantumness import _product_decomposition
+
+        rho = _solver_case(case)
+        rho_b = partial_trace(rho, (2, 2), [1])
+        sigma, certified = _ppt_minimizer(rho, rho_b)
+        reference = ppt_minimizer_reference(rho, rho_b, _newton_step)
+        bound, parent = (relative_entropy(rho, _product_decomposition(s).assemble()) for s in (sigma, reference))
+        assert bound <= parent + 1e-13
+        # The finish lands on the face of every full-rank case; the pure and the separable ones fall back.
+        assert (certified is None) == (case in ("pure", "separable"))
+
+    @pytest.mark.parametrize("case", _SOLVER_CASES)
+    def test_rejected_finish_leaves_the_reference_loop_unchanged(self, case, monkeypatch):
+        from qcorr import _ppt
+
+        monkeypatch.setattr(_ppt, "_kkt_finish", lambda *args: None)
+        rho = _solver_case(case)
+        rho_b = partial_trace(rho, (2, 2), [1])
+        sigma, certified = _ppt._ppt_minimizer(rho, rho_b)
+        assert certified is None
+        assert np.array_equal(sigma, ppt_minimizer_reference(rho, rho_b, _ppt._newton_step))
+
+    def test_low_rank_inputs_the_gate_rejects_keep_the_reference_loop(self):
+        from qcorr._ppt import _newton_step, _ppt_minimizer
+
+        rejected = 0
+        for seed in range(12):
+            rho = low_rank_density(2, seed).matrix
+            rho_b = partial_trace(rho, (2, 2), [1])
+            sigma, certified = _ppt_minimizer(rho, rho_b)
+            if certified is None:
+                rejected += 1
+                assert np.array_equal(sigma, ppt_minimizer_reference(rho, rho_b, _newton_step))
+        assert rejected >= 1
+
+    def test_newton_and_kkt_steps(self, monkeypatch):
+        # Every barrier Newton step and every KKT step is one scaled solve.
+        # The barrier alone, through all seven stages, takes a median of 49 here.
+        from qcorr import _ppt
+
+        calls = []
+        solve = _ppt._scaled_solve
+
+        def counted(*args, **kwargs):
+            calls[-1] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(_ppt, "_scaled_solve", counted)
+        for seed in range(10):
+            rho = random_density((2, 2), seed).matrix
+            calls.append(0)
+            assert _ppt._ppt_minimizer(rho, partial_trace(rho, (2, 2), [1]))[1] is not None
+        assert np.median(calls) <= 30
 
     def test_line_search_starts_inside_the_cone(self, monkeypatch):
         # Steps with squared decrement >= 1 start from the first feasible
         # halving instead of probing points outside the cone: about 100
         # barrier evaluations per solve when every halving is probed.
-        from qcorr import quantumness
+        from qcorr import _ppt
 
         calls = []
-        barrier_point = quantumness._barrier_point
+        barrier_point = _ppt._barrier_point
 
         def counted(*args):
             calls[-1] += 1
             return barrier_point(*args)
 
-        monkeypatch.setattr(quantumness, "_barrier_point", counted)
+        monkeypatch.setattr(_ppt, "_barrier_point", counted)
         for seed in range(10):
             rho = random_density((2, 2), seed).matrix
             calls.append(0)
-            assert quantumness._ppt_minimizer(rho, partial_trace(rho, (2, 2), [1])) is not None
+            assert _ppt._ppt_minimizer(rho, partial_trace(rho, (2, 2), [1])) is not None
         assert np.median(calls) <= 45
 
     def test_singular_marginal_has_no_interior(self):
-        from qcorr.quantumness import _newton_step, _ppt_minimizer
+        from qcorr._ppt import _newton_step, _ppt_minimizer
 
         rho = np.kron(random_density((2,), 5).matrix, np.diag([1.0, 0.0]))
         rho_b = partial_trace(rho, (2, 2), [1])

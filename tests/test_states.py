@@ -199,6 +199,20 @@ class TestClassicalCorrelated:
         with pytest.raises(DimensionMismatch):
             classical_correlated([0.5, 0.5], bloch_projectors(0.0, 0.0), [np.eye(2) / 2, second])
 
+    @pytest.mark.parametrize(
+        "weights, taus",
+        [
+            # The sum is the valid |00><00|, but the witness would carry factors of trace 2 and 0.
+            ([0.5, 0.5], [np.diag([2.0, 0.0]), np.zeros((2, 2))]),
+            ([1.0, 0.0], [np.eye(2) / 2, np.diag([1.5, -0.5])]),
+            ([1.0, 0.0], [np.eye(2) / 2, np.array([[0.5, 0.5], [0.0, 0.5]])]),
+        ],
+        ids=["traces-2-and-0", "negative-eigenvalue-at-zero-weight", "not-hermitian-at-zero-weight"],
+    )
+    def test_b_states_that_are_not_density_matrices(self, weights, taus):
+        with pytest.raises(NotDensity):
+            classical_correlated(weights, bloch_projectors(0.0, 0.0), taus)
+
     def test_witness_reassembles_state(self):
         state = classical_state(3)
         assert np.linalg.norm(state.witness.assemble() - state.matrix) < 1e-12
