@@ -18,8 +18,9 @@ a basis {P_a} of system states that spans the Hermitian operators, and an
 assigned ancilla state tau_a for each basis element.  The duals {Q_a}, with
 Tr[P_a Q_b] = delta_ab and sum Q = I, follow from the basis.  The assigned
 extension of rho is sum_a Tr[rho Q_a] tau_a (x) P_a; pinching it by the
-measurement and tracing out the ancilla is the induced map, for projectors
-of any rank.
+measurement and tracing out the ancilla (one operation, shared with the
+residual state of :mod:`qcorr.quantumness`) is the induced map, for
+projectors of any rank.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from .errors import DimensionMismatch, DualsDoNotResolveIdentity, NotDensity, SingularBasis
 from .linalg import EXACT_TOL, ROUNDING_TOL
 from .linalg import _square_operators, bloch_states, hermitian_eig, partial_trace, realign, tensor_product
-from .measurement import ProjectiveMeasurement, _measurement_branches
-from .states import KET_0, KET_1, DensityMatrix, validate_density
+from .measurement import ProjectiveMeasurement, _measure_extension
+from .states import KET_0, KET_1, validate_density
 
 #: A basis whose Gram determinant is below this is linearly dependent.
 _SINGULAR_GRAM_DET = 1e-12
@@ -257,22 +258,17 @@ def build_measurement_maps(am: AssignmentMap, m: ProjectiveMeasurement) -> Measu
     so that apply_amap(A, rho) = sum_a Tr[rho Q_a] eta_a is the pinched
     extension of rho traced over the ancilla, for projectors of any rank.
     When every Pi_i has rank 1, eta_a = sum_i q[i, a] rho^A_i with the
-    projector marginals rho^A_i = Tr_ancilla[Pi_i].
+    projector marginals rho^A_i = Tr_ancilla[Pi_i].  The measurement must
+    act on ancilla (x) system, or :class:`DimensionMismatch` is raised.
     """
-    d = am.system_dim
-    d_anc = am.ancilla_dim
-    if m.block_dim != d_anc * d:
-        raise DimensionMismatch(
-            f"measurement block dim {m.block_dim} != ancilla*system {d_anc * d}"
-        )
-    marginals = tuple(partial_trace(pi, (d_anc, d), [1]) for pi in m.projectors)
+    dims = (am.ancilla_dim, am.system_dim)
     overlaps = np.empty((len(m), len(am.basis)))
     eta = []
     for a, (tau, p) in enumerate(zip(am.assigned, am.basis)):
-        extension = DensityMatrix((d_anc, d), tensor_product(tau, p))
-        branches, overlaps[:, a], _ = _measurement_branches(extension, m.projectors)
-        eta.append(partial_trace(sum(branches), (d_anc, d), [1]))
-    b = BMap(d, sum(tensor_product(eta_a, q.T) for eta_a, q in zip(eta, am.duals)))
+        reduced, overlaps[:, a], _ = _measure_extension(tensor_product(tau, p), dims, m)
+        eta.append(reduced)
+    marginals = tuple(partial_trace(pi, dims, [1]) for pi in m.projectors)
+    b = BMap(am.system_dim, sum(tensor_product(eta_a, q.T) for eta_a, q in zip(eta, am.duals)))
     a = realign_b_to_a(b)
     return MeasurementMaps(
         a=a,

@@ -4,7 +4,9 @@ A measurement acts on the first ``k`` subsystems of a state's dimension
 signature (k is inferred from the projector dimension); the remaining
 subsystems are the undisturbed "B side".  Measurements on interior or
 permuted blocks are intentionally unsupported to keep the index
-arithmetic auditable.
+arithmetic auditable.  One branch loop serves every measurement here.  On
+an ancilla-extended system it gives both the measurement-induced maps of
+:mod:`qcorr.maps` and the residual state of :mod:`qcorr.quantumness`.
 """
 
 from __future__ import annotations
@@ -92,35 +94,47 @@ def _leading_block(dims: Sequence[int], block_dim: int) -> int:
     )
 
 
-def _measurement_branches(rho: DensityMatrix, ops: Sequence[np.ndarray]):
+def _measurement_branches(matrix: np.ndarray, dims: Sequence[int], ops: Sequence[np.ndarray]):
     """Branches (V (x) I) rho (V (x) I)^dag of operators V on the leading block.
 
     Returns (branches, their traces as outcome probabilities, conditional
-    states of the remaining subsystems).  A conditional state is ``None``
-    when its probability is below ``ZERO_WEIGHT_TOL`` or no subsystem
-    remains; the others are normalized but not validated.
+    states of the remaining subsystems, the remaining dims).  A conditional
+    state is ``None`` when its probability is below ``ZERO_WEIGHT_TOL`` or
+    no subsystem remains; the others are normalized but not validated.
     """
-    block = _leading_block(rho.dims, ops[0].shape[0])
-    rest = list(range(block, len(rho.dims)))
-    eye_rest = np.eye(math.prod(rho.dims[block:]), dtype=complex)
+    block = _leading_block(dims, ops[0].shape[0])
+    rest = list(range(block, len(dims)))
+    eye_rest = np.eye(math.prod(dims[block:]), dtype=complex)
     branches, probs, conditionals = [], [], []
     for v in ops:
         e = tensor_product(v, eye_rest)
-        branch = e @ rho.matrix @ e.conj().T
+        branch = e @ matrix @ e.conj().T
         p = float(branch.trace().real)
         branches.append(branch)
         probs.append(p)
         vanishes = p < ZERO_WEIGHT_TOL or not rest
-        conditionals.append(None if vanishes else partial_trace(branch, rho.dims, rest) / p)
-    return branches, np.array(probs), conditionals
+        conditionals.append(None if vanishes else partial_trace(branch, dims, rest) / p)
+    return branches, np.array(probs), conditionals, tuple(dims[block:])
 
 
-def _remaining_dims(dims: Sequence[int], block_dim: int) -> tuple:
-    """Dimensions of the subsystems after the measured leading block."""
-    block = _leading_block(dims, block_dim)
-    if block == len(dims):
+def _conditional_states(rho: DensityMatrix, ops: Sequence[np.ndarray]):
+    """Branches, probabilities and validated conditional states; :class:`DimensionMismatch` if nothing remains."""
+    branches, probs, conditionals, rest_dims = _measurement_branches(rho.matrix, rho.dims, ops)
+    if not rest_dims:
         raise DimensionMismatch("measurement block covers the whole system; nothing remains")
-    return tuple(dims[block:])
+    return branches, probs, tuple(None if c is None else validate_density(c, rest_dims) for c in conditionals)
+
+
+def _measure_extension(matrix: np.ndarray, dims: Sequence[int], m: ProjectiveMeasurement):
+    """Pinch the first two subsystems, ancilla and system, by ``m`` and trace out the ancilla.
+
+    Returns the reduced matrix, not validated, with the probabilities and
+    conditional states of :func:`_measurement_branches`.
+    """
+    if m.block_dim != dims[0] * dims[1]:
+        raise DimensionMismatch(f"measurement block dim {m.block_dim} != ancilla*system {dims[0] * dims[1]}")
+    branches, probs, conditionals, _ = _measurement_branches(matrix, dims, m.projectors)
+    return partial_trace(sum(branches), dims, list(range(1, len(dims)))), probs, conditionals
 
 
 def measure_subsystem(rho: DensityMatrix, m: ProjectiveMeasurement) -> MeasurementOutcome:
@@ -130,18 +144,13 @@ def measure_subsystem(rho: DensityMatrix, m: ProjectiveMeasurement) -> Measureme
     remainder (``None`` when the outcome probability vanishes), and the
     pinched state built from all outcome branches.
     """
-    rest_dims = _remaining_dims(rho.dims, m.block_dim)
-    branches, probs, conditionals = _measurement_branches(rho, m.projectors)
-    return MeasurementOutcome(
-        probabilities=probs,
-        conditional_states=tuple(None if c is None else validate_density(c, rest_dims) for c in conditionals),
-        pinched_state=validate_density(sum(branches), rho.dims),
-    )
+    branches, probs, conditionals = _conditional_states(rho, m.projectors)
+    return MeasurementOutcome(probs, conditionals, validate_density(sum(branches), rho.dims))
 
 
 def pinch(rho: DensityMatrix, m: ProjectiveMeasurement) -> DensityMatrix:
     """sum_a (P_a (x) I) rho (P_a (x) I); idempotent and trace exact."""
-    branches, _, _ = _measurement_branches(rho, m.projectors)
+    branches = _measurement_branches(rho.matrix, rho.dims, m.projectors)[0]
     return validate_density(sum(branches), rho.dims)
 
 
@@ -153,14 +162,10 @@ def apply_povm_elements(rho: DensityMatrix, elements: Sequence[np.ndarray]):
     """
     ops = _square_operators(elements, "measurement operator")
     d = ops[0].shape[0]
-    total = sum(v.conj().T @ v for v in ops)
-    if not np.max(np.abs(total - np.eye(d))) <= ROUNDING_TOL:
-        raise NotResolutionOfIdentity(
-            f"sum V^dag V deviates from identity by {np.max(np.abs(total - np.eye(d))):.3e}"
-        )
-    rest_dims = _remaining_dims(rho.dims, d)
-    _, probs, conditionals = _measurement_branches(rho, ops)
-    return probs, tuple(None if c is None else validate_density(c, rest_dims) for c in conditionals)
+    defect = np.max(np.abs(sum(v.conj().T @ v for v in ops) - np.eye(d)))
+    if not defect <= ROUNDING_TOL:
+        raise NotResolutionOfIdentity(f"sum V^dag V deviates from identity by {defect:.3e}")
+    return _conditional_states(rho, ops)[1:]
 
 
 def is_insensitive(rho: DensityMatrix, m: ProjectiveMeasurement):

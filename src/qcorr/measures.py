@@ -31,7 +31,7 @@ import numpy as np
 from .entropy import _entropy_bits, mutual_information, relative_entropy, von_neumann_entropy
 from .errors import DegenerateMarginalWarning, DimensionMismatch, OutOfRange, UnsupportedDimension
 from .linalg import PAULI_PRODUCTS, hermitian_eig, tensor_product
-from .measurement import ProjectiveMeasurement, _leading_block, bloch_projectors, measure_subsystem
+from .measurement import ProjectiveMeasurement, bloch_projectors, measure_subsystem
 from .states import DensityMatrix
 
 
@@ -310,8 +310,8 @@ def _optimize(rho: DensityMatrix, cfg: Optional[OptimizerConfig]) -> _Optimum:
 def measured_mutual_information(rho: DensityMatrix, m: ProjectiveMeasurement) -> float:
     """S(rho_B) - sum_a p_a S(rho_B|a) for a fixed measurement on the leading block."""
     outcome = measure_subsystem(rho, m)
-    block = _leading_block(rho.dims, m.block_dim)
-    rho_b = rho.marginal(range(block, len(rho.dims)))
+    rest_dims = next(c.dims for c in outcome.conditional_states if c is not None)  # the probabilities sum to 1
+    rho_b = rho.marginal(range(len(rho.dims) - len(rest_dims), len(rho.dims)))
     avg = 0.0
     for p, cond in zip(outcome.probabilities, outcome.conditional_states):
         if cond is not None:

@@ -23,10 +23,10 @@ import numpy as np
 from ._ppt import _partial_transpose, _ppt_minimizer
 from .entropy import relative_entropy, von_neumann_entropy
 from .errors import DimensionMismatch, NegativeEigenvalue, NotRankOne, UnsupportedDimension
-from .linalg import PAULIS, ROUNDING_TOL, partial_trace
+from .linalg import PAULI_PRODUCTS, ROUNDING_TOL, partial_trace
 from .measurement import (
     ProjectiveMeasurement,
-    _measurement_branches,
+    _measure_extension,
     example_extension_measurement,
     is_insensitive,
 )
@@ -50,21 +50,16 @@ def residual_state(rho_ext: DensityMatrix, m: ProjectiveMeasurement) -> DensityM
     """Pinch the leading block of an extended state and trace out the ancilla.
 
     The ancilla is the first subsystem; the measurement must cover the
-    first two.  When every projector is rank-1 the output carries its own
-    product decomposition as a separability witness.
+    first two.  This is the operation behind the measurement-induced maps
+    of :mod:`qcorr.maps`, applied to a state.  When every projector is
+    rank-1 the output carries its own product decomposition as a
+    separability witness.
     """
     if len(rho_ext.dims) < 3:
         raise DimensionMismatch(
             f"expected ancilla + system + remainder, got dims {rho_ext.dims}"
         )
-    if m.block_dim != rho_ext.dims[0] * rho_ext.dims[1]:
-        raise DimensionMismatch(
-            f"measurement block dim {m.block_dim} != ancilla*system "
-            f"{rho_ext.dims[0] * rho_ext.dims[1]}"
-        )
-    branches, probs, conditionals = _measurement_branches(rho_ext, m.projectors)
-    keep = list(range(1, len(rho_ext.dims)))
-    reduced = partial_trace(sum(branches), rho_ext.dims, keep)
+    reduced, probs, conditionals = _measure_extension(rho_ext.matrix, rho_ext.dims, m)
     witness = None
     if all(_is_rank_one(pi) for pi in m.projectors):
         kept = [i for i, c in enumerate(conditionals) if c is not None]
@@ -73,7 +68,7 @@ def residual_state(rho_ext: DensityMatrix, m: ProjectiveMeasurement) -> DensityM
             tuple(partial_trace(m.projectors[i], rho_ext.dims[:2], [1]) for i in kept),
             tuple(conditionals[i] for i in kept),
         )
-    return validate_density(reduced, tuple(rho_ext.dims[i] for i in keep), witness=witness)
+    return validate_density(reduced, rho_ext.dims[1:], witness=witness)
 
 
 def separable_decomposition(rho_ext: DensityMatrix, m: ProjectiveMeasurement) -> SeparableEnsemble:
@@ -124,8 +119,9 @@ class QuantumnessEstimate:
     the minimum, up to the solver's gap.  ``lower_bound``, in bits, is the
     larger of the coherent-information floor (0 when the search ended
     before computing it) and, when the solver's KKT finish was taken, its
-    weak-duality certificate minus S(rho); no separable state sharing rho_B
-    is closer, up to rounding.  A finish is taken only when its certificate
+    weak-duality certificate minus S(rho), capped at ``upper_bound``, which
+    rounding alone can put it above; no separable state sharing rho_B is
+    closer, up to rounding.  A finish is taken only when its certificate
     is within the last barrier stage's gap, about 4.1e-13 nats, of its own
     sigma (see :mod:`qcorr._ppt`).  ``marginal_residual`` is the Frobenius
     distance from the witness's B marginal to rho_B: rounding error only.
@@ -162,7 +158,7 @@ def _product_decomposition(sigma: np.ndarray) -> SeparableEnsemble:
     """
     lam, u = np.linalg.eigh(sigma)
     v = u * np.sqrt(np.maximum(lam, 0.0))
-    m = v.T @ np.kron(PAULIS[1], PAULIS[1]) @ v
+    m = v.T @ PAULI_PRODUCTS[10] @ v
     # Takagi through the real embedding: an eigenvector (p, q) of
     # [[Re m, Im m], [Im m, -Re m]] with eigenvalue c >= 0 gives m conj(w) = c w, w = p + i q.
     # The complex eigh keeps a real input's eigenvectors real up to a phase per column.
@@ -263,7 +259,8 @@ def quantumness_upper_bound(rho: DensityMatrix) -> QuantumnessEstimate:
     :class:`DimensionMismatch`, and one with a factor of eigenvalue below
     ``-ROUNDING_TOL`` (not a separable decomposition) raises
     :class:`NegativeEigenvalue`.  ``lower_bound`` is the floor, when it was
-    computed, or the solver's certificate minus S(rho), whichever is larger.
+    computed, or the solver's certificate minus S(rho), whichever is larger,
+    and never above ``upper_bound``.
     """
     if tuple(rho.dims) != (2, 2):
         raise UnsupportedDimension(f"estimator supports dims (2, 2); got {tuple(rho.dims)}")
@@ -297,7 +294,7 @@ def quantumness_upper_bound(rho: DensityMatrix) -> QuantumnessEstimate:
     best_bound, best_residual, best_ensemble = min(tried, key=lambda c: c[0])
     return QuantumnessEstimate(
         upper_bound=best_bound,
-        lower_bound=max(lower, floor or 0.0),
+        lower_bound=min(best_bound, max(lower, floor or 0.0)),
         witness=best_ensemble,
         marginal_residual=best_residual,
         restarts_used=len(tried),

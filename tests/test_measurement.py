@@ -5,12 +5,15 @@ from qcorr import (
     apply_povm_elements,
     bell_state,
     bloch_projectors,
+    build_measurement_maps,
+    example_assignment,
     example_extension,
     example_extension_measurement,
     is_insensitive,
     measure_subsystem,
     pinch,
     random_density,
+    residual_state,
     validate_density,
     von_neumann_entropy,
 )
@@ -46,6 +49,21 @@ def test_non_projectors_raise_a_package_error(projectors, reason):
     with pytest.raises(NotProjector, match=reason) as caught:
         ProjectiveMeasurement(projectors)
     assert isinstance(caught.value, QcorrError) and isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda m: build_measurement_maps(example_assignment(), m),
+        lambda m: residual_state(example_extension(0.5), m),
+    ],
+    ids=["maps", "residual-state"],
+)
+def test_extension_measurements_share_one_block_check(measure):
+    # a qubit measurement where ancilla (x) system is 4-dimensional
+    with pytest.raises(DimensionMismatch, match=r"block dim 2 != ancilla\*system 4") as caught:
+        measure(bloch_projectors(0, 0))
+    assert caught.traceback[-1].name == "_measure_extension"
 
 
 class TestBlochProjectors:

@@ -59,3 +59,15 @@ def test_no_module_touches_the_warning_filters():
                 if name in global_state:
                     offenders.append(f"{path.name}:{node.lineno}: {name}")
     assert offenders == []
+
+
+def test_density_matrices_are_built_only_in_states():
+    """Elsewhere a DensityMatrix comes from validate_density, so none skips the density checks."""
+    offenders = []
+    for path in sorted(Path(qcorr.__file__).parent.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "DensityMatrix":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

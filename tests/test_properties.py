@@ -75,14 +75,14 @@ RANKED = {1: pure_state, 2: lambda seed: low_rank_density(2, seed), 3: lambda se
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(rank=st.sampled_from(sorted(RANKED)), seed=st.integers(0, 2**20))
 def test_quantumness_lies_between_its_bounds(rank, seed):
-    """floor <= lower_bound <= upper_bound <= one-way deficit, to rounding.
+    """floor <= lower_bound <= upper_bound <= one-way deficit; the middle one exactly, the others to rounding.
 
     The floor is the coherent information; ``lower_bound`` is the larger of
-    it and the KKT finish's certificate.
+    it and the KKT finish's certificate, capped at ``upper_bound``.
     """
     rho = RANKED[rank](seed)
     estimate = quantumness_upper_bound(rho)
     s_ab = von_neumann_entropy(rho)
     floor = max(0.0, von_neumann_entropy(rho.marginal([0])) - s_ab, von_neumann_entropy(rho.marginal([1])) - s_ab)
-    assert floor - 1e-12 <= estimate.lower_bound <= estimate.upper_bound + 1e-12
+    assert floor - 1e-12 <= estimate.lower_bound <= estimate.upper_bound
     assert estimate.upper_bound <= measure_report(rho, CFG).oneway_deficit + 1e-6
