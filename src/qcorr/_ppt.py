@@ -122,17 +122,17 @@ def _log_derivatives(lam: np.ndarray, et: np.ndarray, xt: np.ndarray):
     return grad, hess
 
 
-def _scaled_solve(matrix: np.ndarray, rhs: np.ndarray, scale: np.ndarray, indefinite: bool = False) -> np.ndarray:
+def _scaled_solve(matrix: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """The pseudo-inverse of ``matrix`` applied to ``rhs``, solved with the matrix scaled by ``scale`` on both sides.
 
-    Eigenvalues of the scaled matrix at most 12 eps times the largest are
-    dropped; for an ``indefinite`` matrix, by absolute value.
+    Eigenvalues of the scaled matrix at most 12 eps times the largest, by
+    absolute value, are dropped.
     """
     # A pseudo-inverse through the complex eigh that every other
     # decomposition here uses: a least-squares or real symmetric solver
     # would map about 0.5 MB more of LAPACK into memory.
     vals, vecs = np.linalg.eigh(matrix * np.outer(scale, scale) + 0j)
-    size = np.abs(vals) if indefinite else vals
+    size = np.abs(vals)
     inverse = np.divide(1.0, vals, out=np.zeros_like(vals), where=size > 12 * np.finfo(float).eps * size.max())
     return ((vecs * inverse) @ (vecs.conj().T @ (rhs * scale))).real * scale
 
@@ -256,7 +256,7 @@ def _kkt_finish(x: np.ndarray, base: np.ndarray, rho4: np.ndarray, rho_b: np.nda
         kkt[:12, :12], kkt[:12, 12], kkt[12, :12] = hess, -grad_g, -grad_g
         scale = 1.0 / np.sqrt(diag)
         step = _scaled_solve(kkt, np.append(mu * grad_g - grad_f, lam[1, 0]),
-                             np.append(scale, 1.0 / np.linalg.norm(scale * grad_g)), indefinite=True)
+                             np.append(scale, 1.0 / np.linalg.norm(scale * grad_g)))
         x, mu, moved = x + step[:12], mu + step[12], np.abs(step[:12]).max()
     if mu < 0.0 or lam[1, 0] < -ROUNDING_TOL:
         return None

@@ -31,7 +31,7 @@ from .maps import apply_amap, build_measurement_maps, classify, example_assignme
 from .measurement import example_extension_measurement
 from .measures import OptimizerConfig, measure_report
 from .quantumness import quantumness_upper_bound
-from .states import DensityMatrix, validate_density
+from .states import DensityMatrix, _require_two_qubits, validate_density
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -105,8 +105,7 @@ def _emit(report: dict, as_json: bool, human_lines):
 
 def cmd_measures(args) -> int:
     state, digest = load_state_file(args.path)
-    if tuple(state.dims) != (2, 2):
-        raise UnsupportedDimension(f"measures requires dims (2, 2), got {tuple(state.dims)}")
+    _require_two_qubits(state, "measures")  # before the option checks: other dims exit 4 whatever the flags
     cfg = OptimizerConfig(
         grid_resolution=args.grid, refine_iterations=args.refine, tolerance=args.tol
     )
@@ -170,10 +169,7 @@ def cmd_bmap_demo(args) -> int:
 
 def cmd_quantumness(args) -> int:
     state, digest = load_state_file(args.path)
-    if tuple(state.dims) != (2, 2):
-        raise UnsupportedDimension(
-            f"quantumness requires dims (2, 2), got {tuple(state.dims)}"
-        )
+    _require_two_qubits(state, "quantumness")  # before the option checks: other dims exit 4 whatever the flags
     # Kept for compatibility: range-checked, but the two-qubit solve has no use for them.
     if args.terms < 4:
         raise OutOfRange(f"terms={args.terms} must be at least 4")

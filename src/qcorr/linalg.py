@@ -119,15 +119,9 @@ def hermitian_eig(m: np.ndarray) -> HermitianEigenSystem:
 def _phase_fixed_eig(m: np.ndarray) -> HermitianEigenSystem:
     """:func:`hermitian_eig` of a complex square matrix already checked for Hermiticity."""
     vals, vecs = np.linalg.eigh(m)
-    vecs = vecs.copy()
-    n = m.shape[0]
-    for j in range(n):
-        col = vecs[:, j]
-        idx = np.argmax(np.abs(col) > _PHASE_PIVOT)
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            vecs[:, j] = col * (pivot.conj() / abs(pivot))
-    return HermitianEigenSystem(eigenvalues=vals, eigenvectors=vecs)
+    # each column is a unit vector, so its first entry above _PHASE_PIVOT exists
+    pivots = vecs[np.argmax(np.abs(vecs) > _PHASE_PIVOT, axis=0), np.arange(vecs.shape[1])]
+    return HermitianEigenSystem(eigenvalues=vals, eigenvectors=vecs * (pivots.conj() / np.abs(pivots)))
 
 
 def matrix_log_on_support(m: np.ndarray) -> np.ndarray:

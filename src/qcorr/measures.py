@@ -29,10 +29,10 @@ from typing import Optional
 import numpy as np
 
 from .entropy import _entropy_bits, mutual_information, relative_entropy, von_neumann_entropy
-from .errors import DegenerateMarginalWarning, DimensionMismatch, OutOfRange, UnsupportedDimension
+from .errors import DegenerateMarginalWarning, DimensionMismatch, OutOfRange
 from .linalg import PAULI_PRODUCTS, hermitian_eig, tensor_product
 from .measurement import ProjectiveMeasurement, bloch_projectors, measure_subsystem
-from .states import DensityMatrix
+from .states import DensityMatrix, _require_two_qubits
 
 
 @dataclass(frozen=True)
@@ -267,13 +267,6 @@ def _axis_angles(theta: float, phi: float):
     return math.atan2(math.hypot(x, y), z), math.atan2(y, x)
 
 
-def _require_two_qubits(rho: DensityMatrix):
-    if tuple(rho.dims) != (2, 2):
-        raise UnsupportedDimension(
-            f"measurement optimization is defined for dims (2, 2); got {tuple(rho.dims)}"
-        )
-
-
 @dataclass(frozen=True)
 class _Optimum:
     """One search: the J argmax ``measured``, the pinched-entropy argmin ``pinched``, the
@@ -292,7 +285,7 @@ class _Optimum:
 
 def _optimize(rho: DensityMatrix, cfg: Optional[OptimizerConfig]) -> _Optimum:
     """The set-up, search and measure formulas behind every optimized measure."""
-    _require_two_qubits(rho)
+    _require_two_qubits(rho, "measurement optimization")
     cfg = cfg or OptimizerConfig()
     s_a, s_b, s_ab = (von_neumann_entropy(x) for x in (rho.marginal([0]), rho.marginal([1]), rho))
     mi = s_a + s_b - s_ab
@@ -399,7 +392,7 @@ def discord_relative_entropy_decomposition(
     S(rho_A || rho_A^pinched).  The two agree for rank-1 qubit measurements
     by the pinching identity.
     """
-    _require_two_qubits(rho)
+    _require_two_qubits(rho, "measurement optimization")
     if m.block_dim != 2:
         raise DimensionMismatch(f"expected a qubit measurement, got block dim {m.block_dim}")
     outcome = measure_subsystem(rho, m)

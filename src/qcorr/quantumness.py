@@ -22,7 +22,7 @@ import numpy as np
 
 from ._ppt import _partial_transpose, _ppt_minimizer
 from .entropy import relative_entropy, von_neumann_entropy
-from .errors import DimensionMismatch, NegativeEigenvalue, NotRankOne, UnsupportedDimension
+from .errors import DimensionMismatch, NegativeEigenvalue, NotRankOne
 from .linalg import PAULI_PRODUCTS, ROUNDING_TOL, partial_trace
 from .measurement import (
     ProjectiveMeasurement,
@@ -33,6 +33,7 @@ from .measurement import (
 from .states import (
     DensityMatrix,
     SeparableEnsemble,
+    _require_two_qubits,
     example_extension,
     example_separable,
     validate_density,
@@ -262,8 +263,7 @@ def quantumness_upper_bound(rho: DensityMatrix) -> QuantumnessEstimate:
     computed, or the solver's certificate minus S(rho), whichever is larger,
     and never above ``upper_bound``.
     """
-    if tuple(rho.dims) != (2, 2):
-        raise UnsupportedDimension(f"estimator supports dims (2, 2); got {tuple(rho.dims)}")
+    _require_two_qubits(rho, "quantumness")
 
     rho_b = rho.marginal([1]).matrix
     tried: list[tuple[float, float, SeparableEnsemble]] = []

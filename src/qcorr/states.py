@@ -8,9 +8,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotDensity, NotProbability, OutOfRange
-from .linalg import EXACT_TOL, ROUNDING_TOL, ZERO_WEIGHT_TOL, tensor_product
-from .linalg import _phase_fixed_eig, _square_operators, hermiticity_defect, partial_trace, subsystem_dims
+from .errors import DimensionMismatch, NotDensity, NotProbability, OutOfRange, UnsupportedDimension
+from .linalg import EXACT_TOL, ROUNDING_TOL, ZERO_WEIGHT_TOL, partial_trace, tensor_product
+from .linalg import _as_square, _phase_fixed_eig, _square_operators, hermiticity_defect, subsystem_dims
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,7 @@ def validate_density(
     if not np.all(np.isfinite(m)):
         raise NotDensity("matrix has non-finite entries")
     dims = subsystem_dims(dims)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    m = _as_square(m)
     if math.prod(dims) != m.shape[0]:
         raise DimensionMismatch(f"dims {dims} do not match matrix side {m.shape[0]}")
 
@@ -167,6 +166,12 @@ def validate_density(
         m = (m + m.conj().T) / 2
         m = m / m.trace().real
     return DensityMatrix(dims, m, witness=witness)
+
+
+def _require_two_qubits(rho: DensityMatrix, task: str) -> None:
+    """:class:`UnsupportedDimension` unless ``rho`` has dims (2, 2), which ``task`` needs."""
+    if tuple(rho.dims) != (2, 2):
+        raise UnsupportedDimension(f"{task} requires dims (2, 2), got {tuple(rho.dims)}")
 
 
 def pure_state(k: Ket, dims: Sequence[int]) -> DensityMatrix:
@@ -212,9 +217,9 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
 
     ``projectors`` is a :class:`~qcorr.measurement.ProjectiveMeasurement` on
     the A factor (or any sequence of projector matrices that passes its
-    checks), ``states`` the matching B-side density matrices: one that is
-    not Hermitian, of unit trace and of eigenvalues at least ``-ROUNDING_TOL``
-    raises :class:`NotDensity`, whatever its weight.  The term traces
+    checks), ``states`` the matching B-side density matrices, each checked
+    by :func:`validate_density`: one that is not a density matrix raises
+    :class:`NotDensity`, whatever its weight.  The term traces
     ``q_a Tr P_a`` must be non-negative and sum to one.  The state is
     assembled from its witness: the ensemble of weights ``q_a Tr P_a`` and
     factors ``P_a / Tr P_a`` and ``tau_a``, skipping terms with ``q_a`` at
@@ -224,11 +229,8 @@ def classical_correlated(weights, projectors, states) -> DensityMatrix:
 
     proj_list = ProjectiveMeasurement(tuple(getattr(projectors, "projectors", projectors))).projectors
     state_list = _square_operators([_matrix_of(s) for s in states], "B state")
-    for i, tau in enumerate(state_list):
-        defect = hermiticity_defect(tau)
-        if not defect <= ROUNDING_TOL:  # also true for a NaN defect
-            raise NotDensity(f"B state {i} has Hermiticity defect {defect:.3e} (tol {ROUNDING_TOL:.1e})")
-        _require_density_spectrum(tau.trace().real, np.linalg.eigvalsh(tau)[0])
+    for tau in state_list:
+        validate_density(tau, (tau.shape[0],))
     w = np.asarray(weights, dtype=float)
     if not (len(proj_list) == len(state_list) == w.size):
         raise DimensionMismatch(f"got {w.size} weights, {len(proj_list)} projectors, {len(state_list)} states")

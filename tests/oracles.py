@@ -466,3 +466,16 @@ def classical_correlated_reference(weights, projectors, states):
         b_out.append(tau)
     witness = SeparableEnsemble(np.array(weights_out), tuple(a_out), tuple(b_out))
     return validate_density(matrix, (d_a, d_b), witness=witness)
+
+
+def phase_fixed_eig_reference(m):
+    """numpy's eigh with each eigenvector column rephased, one column at a time, so
+    that its first component above 1e-8 in magnitude is real and positive."""
+    vals, vecs = np.linalg.eigh(m)
+    vecs = vecs.copy()
+    for j in range(m.shape[0]):
+        col = vecs[:, j]
+        pivot = col[np.argmax(np.abs(col) > 1e-8)]
+        if abs(pivot) > 0:
+            vecs[:, j] = col * (pivot.conj() / abs(pivot))
+    return vals, vecs

@@ -61,6 +61,15 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("payload", ["[[1, 0], [0, 0]]", '{"dims": [2, 2]}'], ids=["array", "no-matrix"])
+    def test_json_that_is_not_a_state_object_exits_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "payload.json"
+        path.write_text(payload)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {path}: expected an object with 'dims' and 'matrix'\n"
+
 
 class TestMeasures:
     def test_bell_values(self, bell_file, capsys):
@@ -223,6 +232,17 @@ class TestRejectsInvalidInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "out of range" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv", [["measures"], ["measures", "--grid", "4"], ["quantumness"], ["quantumness", "--terms", "3"]]
+    )
+    def test_three_qubits_exit_4_whatever_the_flags(self, tmp_path, capsys, argv):
+        # the dims check comes before the option checks, which would exit 5 on --grid 4 and --terms 3
+        path = write_state(tmp_path / "three.json", (2, 2, 2), np.eye(8) / 8)
+        assert main([argv[0], path, *argv[1:]]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"unsupported dimensions: {argv[0]} requires dims (2, 2), got (2, 2, 2)\n"
 
     @pytest.mark.parametrize("flag", [["--restarts", "-3"], ["--seed", "-1"], ["--terms", "3"]])
     def test_quantumness_out_of_range_exits_5(self, bell_file, capsys, flag):

@@ -53,6 +53,11 @@ class TestShannonMutualInformation:
         table = [[0.4, 0.1], [0.1, 0.4]]
         assert abs(shannon_mutual_information(table) - 0.2780719051126379) < 1e-14
 
+    @pytest.mark.parametrize("table", [[0.5, 0.5], [[[0.5], [0.5]]]], ids=["1-D", "3-D"])
+    def test_rejects_a_table_that_is_not_2d(self, table):
+        with pytest.raises(NotProbability, match="expected a 2-D table"):
+            shannon_mutual_information(table)
+
 
 class TestVonNeumannEntropy:
     def test_pure_state(self):
@@ -120,6 +125,11 @@ class TestMutualInformation:
 
     def test_bell_state(self):
         assert abs(mutual_information(bell_state()) - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (8,)])
+    def test_rejects_a_state_that_is_not_bipartite(self, dims):
+        with pytest.raises(DimensionMismatch, match="expected a bipartite signature"):
+            mutual_information(random_density(dims, 0))
 
     def test_matches_relative_entropy_route(self):
         for seed in range(100):

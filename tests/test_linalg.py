@@ -10,6 +10,8 @@ from qcorr.linalg import (
     tensor_product,
 )
 
+from oracles import phase_fixed_eig_reference
+
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -64,6 +66,11 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("shape", [(4, 2), (4,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(DimensionMismatch, match=rf"expected a square matrix, got shape \({shape[0]},"):
+            hermitian_eig(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(NotHermitian):
@@ -87,6 +94,16 @@ class TestHermitianEig:
             pivot = col[np.argmax(np.abs(col) > 1e-8)]
             assert pivot.real > 0
             assert abs(pivot.imag) < 1e-12
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_phases_match_the_column_by_column_reference_bit_for_bit(self, dim):
+        # degenerate inputs give eigenvectors whose leading components are exact zeros
+        inputs = [random_hermitian(dim, 900 + 10 * dim + s) for s in range(10)]
+        inputs += [np.eye(dim), np.diag(np.arange(dim) % 2), np.ones((dim, dim)) / dim]
+        for m in inputs:
+            vals, vecs = phase_fixed_eig_reference(np.asarray(m, dtype=complex))
+            eig = hermitian_eig(m)
+            assert eig.eigenvalues.tobytes() == vals.tobytes() and eig.eigenvectors.tobytes() == vecs.tobytes()
 
 
 class TestMatrixLogOnSupport:
@@ -142,11 +159,10 @@ class TestPartialTrace:
         one_step = partial_trace(m, (2, 2, 2), [2])
         assert np.max(np.abs(two_step - one_step)) < 1e-13
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("dims, keep", [((2, 3), [0]), ((2, 2), []), ((2, 2), [2]), ((2, 2), [-1, 0])])
+    def test_dimension_mismatch(self, dims, keep):
         with pytest.raises(DimensionMismatch):
-            partial_trace(np.eye(4, dtype=complex), (2, 3), [0])
-        with pytest.raises(DimensionMismatch):
-            partial_trace(np.eye(4, dtype=complex), (2, 2), [])
+            partial_trace(np.eye(4, dtype=complex), dims, keep)
 
     @pytest.mark.parametrize("matrix, dims", [(np.eye(2), (-1, -2)), (np.eye(1), ())])
     def test_rejects_non_positive_and_empty_dims(self, matrix, dims):

@@ -142,6 +142,11 @@ class TestAssignment:
         with pytest.raises(DimensionMismatch):
             AssignmentMap((), ())
 
+    def test_rejects_fewer_assigned_states_than_basis_elements(self):
+        am = example_assignment()
+        with pytest.raises(DimensionMismatch, match="got 4 basis elements, 3 assigned states"):
+            AssignmentMap(am.basis, am.assigned[:3])
+
     @pytest.mark.parametrize("field", ["basis", "assigned"])
     def test_rejects_mixed_shapes(self, field):
         am = example_assignment()
@@ -167,6 +172,20 @@ class TestApplyAmap:
         a = AMap(2, np.eye(4, dtype=complex))
         rho = random_density((2,), 12).matrix
         assert np.array_equal(apply_amap(a, rho), rho)
+
+    @pytest.mark.parametrize("kind", [AMap, BMap])
+    def test_rejects_a_tensor_of_the_wrong_shape(self, kind):
+        with pytest.raises(DimensionMismatch, match=r"expected shape \(4, 4\), got \(3, 3\)"):
+            kind(2, np.eye(3))
+
+    @pytest.mark.parametrize(
+        "apply, operand",
+        [(apply_amap, AMap(2, KNOWN_A)), (assignment_apply, example_assignment())],
+        ids=["amap", "assignment"],
+    )
+    def test_rejects_a_state_of_the_wrong_shape(self, apply, operand):
+        with pytest.raises(DimensionMismatch, match=r"state shape \(3, 3\) does not match"):
+            apply(operand, np.eye(3) / 3)
 
 
 class TestAmapConditions:

@@ -51,6 +51,11 @@ def test_non_projectors_raise_a_package_error(projectors, reason):
     assert isinstance(caught.value, QcorrError) and isinstance(caught.value, ValueError)
 
 
+def test_projectors_that_miss_part_of_the_space_are_rejected():
+    with pytest.raises(NotResolutionOfIdentity, match="do not sum to the identity"):
+        ProjectiveMeasurement((np.diag([1.0, 0.0]),))
+
+
 @pytest.mark.parametrize(
     "measure",
     [
@@ -110,6 +115,22 @@ class TestMeasureSubsystem:
             out = measure_subsystem(rho, m)
             assert np.all(out.probabilities >= -1e-14)
             assert abs(out.probabilities.sum() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize(
+        "measure",
+        [measure_subsystem, lambda rho, m: apply_povm_elements(rho, m.projectors)],
+        ids=["projective", "povm"],
+    )
+    def test_rejects_a_measurement_of_the_whole_system(self, measure):
+        computational = ProjectiveMeasurement(tuple(np.diag(np.eye(4)[i]) for i in range(4)))
+        with pytest.raises(DimensionMismatch, match="nothing remains"):
+            measure(bell_state(), computational)
+
+    @pytest.mark.parametrize("measure", [measure_subsystem, pinch])
+    def test_rejects_a_block_that_no_leading_subsystems_make_up(self, measure):
+        qutrit = ProjectiveMeasurement(tuple(np.diag(np.eye(3)[i]) for i in range(3)))
+        with pytest.raises(DimensionMismatch, match=r"no leading block of dims \(2, 2\) has total dimension 3"):
+            measure(bell_state(), qutrit)
 
     def test_pinched_state_invariant(self):
         rho = random_density((2, 2), 77)

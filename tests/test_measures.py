@@ -9,6 +9,7 @@ import pytest
 
 from qcorr import (
     OptimizerConfig,
+    ProjectiveMeasurement,
     bell_state,
     bloch_projectors,
     classical_correlation_hv,
@@ -25,7 +26,7 @@ from qcorr import (
     validate_density,
     von_neumann_entropy,
 )
-from qcorr.errors import DegenerateMarginalWarning, OutOfRange, UnsupportedDimension
+from qcorr.errors import DegenerateMarginalWarning, DimensionMismatch, OutOfRange, UnsupportedDimension
 from qcorr.linalg import tensor_product
 from qcorr import measures
 from qcorr.measures import maximize_measured_mi
@@ -102,9 +103,18 @@ class TestQuantumDiscord:
         oracle, _, _ = dense_grid_measures(example_separable(0.5).matrix, 181, 361)
         assert abs(value - oracle) < 1e-3
 
-    def test_unsupported_dimensions(self):
-        with pytest.raises(UnsupportedDimension):
-            quantum_discord(random_density((2, 4), 0), FAST)
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda rho: quantum_discord(rho, FAST),
+            lambda rho: discord_relative_entropy_decomposition(rho, bloch_projectors(0.0, 0.0)),
+        ],
+        ids=["optimized", "fixed-measurement"],
+    )
+    def test_unsupported_dimensions(self, measure):
+        expected = r"^measurement optimization requires dims \(2, 2\), got \(2, 4\)$"
+        with pytest.raises(UnsupportedDimension, match=expected):
+            measure(random_density((2, 4), 0))
 
 
 class TestClassicalCorrelationHV:
@@ -158,6 +168,10 @@ class TestQuantumDeficit:
         with pytest.warns(DegenerateMarginalWarning):
             quantum_deficit(bell_state())
 
+    def test_rejects_a_state_that_is_not_bipartite(self):
+        with pytest.raises(DimensionMismatch, match="expected a bipartite signature"):
+            quantum_deficit(random_density((2, 2, 2), 0))
+
     def test_matches_divergence_to_the_dephased_state(self, random_two_qubit_corpus):
         for rho in [*random_two_qubit_corpus, bell_state(), example_separable(0.5)]:
             with warnings.catch_warnings():
@@ -194,6 +208,11 @@ class TestDiscordDecomposition:
         result = discord_relative_entropy_decomposition(bell_state(), bloch_projectors(0.0, 0.0))
         assert abs(result.direct - 1.0) < 1e-9
         assert abs(result.via_relative_entropies - 1.0) < 1e-9
+
+    def test_rejects_a_measurement_on_both_qubits(self):
+        computational = ProjectiveMeasurement(tuple(np.diag(np.eye(4)[i]) for i in range(4)))
+        with pytest.raises(DimensionMismatch, match="expected a qubit measurement, got block dim 4"):
+            discord_relative_entropy_decomposition(bell_state(), computational)
 
     def test_routes_agree_on_random_pairs(self):
         rng = np.random.default_rng(99)

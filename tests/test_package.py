@@ -71,3 +71,31 @@ def test_density_matrices_are_built_only_in_states():
             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "DensityMatrix":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _call_sites(callee: str) -> list:
+    """Module and enclosing function, as ``module.Class.function``, of each call to ``callee`` in the package."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == callee:
+                sites.append(scope)
+            visit(child, scope)
+
+    for path in sorted(Path(qcorr.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return sites
+
+
+def test_each_input_check_has_one_home():
+    """The two-qubit restriction is raised in one place, and the Hermiticity check
+    outside linalg runs only where states and measurements are validated."""
+    assert _call_sites("UnsupportedDimension") == ["states._require_two_qubits"]
+    assert [s for s in _call_sites("hermiticity_defect") if not s.startswith("linalg.")] == [
+        "measurement.ProjectiveMeasurement.__post_init__",
+        "states.validate_density",
+    ]

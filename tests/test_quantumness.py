@@ -149,7 +149,7 @@ class TestQuantumnessUpperBound:
             quantumness_upper_bound(validate_density(np.eye(4) / 4, (2, 2), witness=witness))
 
     def test_input_validation(self):
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(UnsupportedDimension, match=r"^quantumness requires dims \(2, 2\), got \(2, 4\)$"):
             quantumness_upper_bound(random_density((2, 4), 0))
 
 

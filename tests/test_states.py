@@ -39,9 +39,10 @@ class TestValidateDensity:
         with pytest.raises(NotDensity):
             validate_density(np.diag([1.0, -0.2, 0.2, 0.0]), (2, 2))
 
-    def test_rejects_wrong_dims(self):
+    @pytest.mark.parametrize("matrix, dims", [(np.eye(4) / 4, (2, 3)), (np.eye(4, 2) / 2, (2, 2))])
+    def test_rejects_wrong_dims(self, matrix, dims):
         with pytest.raises(DimensionMismatch):
-            validate_density(np.eye(4) / 4, (2, 3))
+            validate_density(matrix, dims)
 
     @pytest.mark.parametrize("matrix, dims", [(np.eye(2) / 2, (-1, -2)), (np.eye(1), ())])
     def test_rejects_non_positive_and_empty_dims(self, matrix, dims):
@@ -206,8 +207,9 @@ class TestClassicalCorrelated:
             ([0.5, 0.5], [np.diag([2.0, 0.0]), np.zeros((2, 2))]),
             ([1.0, 0.0], [np.eye(2) / 2, np.diag([1.5, -0.5])]),
             ([1.0, 0.0], [np.eye(2) / 2, np.array([[0.5, 0.5], [0.0, 0.5]])]),
+            ([1.0, 0.0], [np.eye(2) / 2, np.diag([np.nan, 1.0])]),
         ],
-        ids=["traces-2-and-0", "negative-eigenvalue-at-zero-weight", "not-hermitian-at-zero-weight"],
+        ids=["traces-2-and-0", "negative-eigenvalue-at-zero-weight", "not-hermitian-at-zero-weight", "non-finite"],
     )
     def test_b_states_that_are_not_density_matrices(self, weights, taus):
         with pytest.raises(NotDensity):
