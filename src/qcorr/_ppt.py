@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 
-from .linalg import PAULI_PRODUCTS, ROUNDING_TOL
+from .linalg import PAULI_PRODUCTS, ROUNDING_TOL, _partial_transpose, partial_trace
 
 _E = PAULI_PRODUCTS[4:] / 4
-#: The directions E_k and their partial transposes on B, shape (2, 12, 4, 4).
-_DIRECTIONS = np.stack([_E, _E.reshape(12, 2, 2, 2, 2).swapaxes(2, 4).reshape(12, 4, 4)])
+#: The directions E_k and their partial transposes on B, each flattened, shape (2, 12, 16).
+_DIRECTIONS = np.stack([_E, _partial_transpose(_E)]).reshape(2, 12, 16)
 #: The barrier weight t of each centering stage.  The first ``_FACE_STAGES`` always run; the rest
 #: run only when :func:`_kkt_finish` is rejected.  The last one's duality gap 8/t, about 4.1e-13 nats,
 #: is also the gap the finish's certificate must close to.
@@ -83,7 +83,7 @@ def _barrier_point(x: np.ndarray, t: float, base: np.ndarray, rho: np.ndarray):
     eigenbasis (t rho + I for sigma, I for sigma^{T_B}), or None when
     either matrix is not positive definite.
     """
-    lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS.reshape(2, 12, 16)).reshape(2, 4, 4))
+    lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS).reshape(2, 4, 4))
     if lam[:, 0].min() <= 0.0:
         return None
     return _weighted(lam, u, t, rho)
@@ -99,8 +99,7 @@ def _weighted(lam: np.ndarray, u: np.ndarray, t: float, rho: np.ndarray):
 def _in_eigenbases(u: np.ndarray) -> np.ndarray:
     """Every E_k in the eigenbasis of sigma and every E_k^{T_B} in that of sigma^{T_B}, flattened, shape (2, 12, 16)."""
     # (U^H E_k U)[i, j] = sum_ab E_k[a, b] conj(U[a, i]) U[b, j].
-    basis = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(2, 16, 16)
-    return _DIRECTIONS.reshape(2, 12, 16) @ basis
+    return _DIRECTIONS @ (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(2, 16, 16)
 
 
 def _log_derivatives(lam: np.ndarray, et: np.ndarray, xt: np.ndarray):
@@ -156,7 +155,7 @@ def _feasible_start(lam: np.ndarray, u: np.ndarray, step: np.ndarray) -> float:
     L, the matrix plus alpha S is positive definite exactly when
     1 + alpha mu > 0, where mu is the least eigenvalue of L^{-1/2} U^H S U L^{-1/2}.
     """
-    s = (step @ _DIRECTIONS.reshape(2, 12, 16)).reshape(2, 4, 4)
+    s = (step @ _DIRECTIONS).reshape(2, 4, 4)
     v = u / np.sqrt(lam)[:, None, :]
     mu = np.linalg.eigh(v.conj().swapaxes(-1, -2) @ s @ v)[0][:, 0].min()
     alpha = 1.0
@@ -187,11 +186,6 @@ def _centered(x: np.ndarray, point, stages, base: np.ndarray, rho4: np.ndarray):
     return x, point
 
 
-def _partial_transpose(m: np.ndarray) -> np.ndarray:
-    """The partial transpose on B of a two-qubit matrix."""
-    return m.reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4)
-
-
 def _face_certificate(lam, u, weight, mu, rho_b) -> tuple[float, float]:
     """A lower bound on min -Tr rho ln sigma over the PPT sigma with Tr_A sigma = rho_B, and f(sigma), in nats.
 
@@ -207,10 +201,10 @@ def _face_certificate(lam, u, weight, mu, rho_b) -> tuple[float, float]:
     """
     g = -u[0] @ (_log_dd1(lam[0][:, None], lam[0][None, :]) * weight) @ u[0].conj().T
     z2 = _partial_transpose(mu * np.outer(u[1][:, 0], u[1][:, 0].conj()))
-    y = np.trace((g - z2).reshape(2, 2, 2, 2), axis1=0, axis2=2) / 2.0
+    y = partial_trace(g - z2, (2, 2), [1]) / 2.0
     eps = max(0.0, -np.linalg.eigh(g - np.kron(np.eye(2), y) - z2)[0][0])
     f = -float(np.sum(weight.diagonal().real * np.log(lam[0])))
-    return f + 1.0 + float(np.sum(y * rho_b.T).real) - eps, f
+    return f + 1.0 + float(np.sum(y * rho_b.conj()).real) - eps, f  # Tr Y rho_B = sum_ij Y_ij conj(rho_B)_ij
 
 
 def _kkt_finish(x: np.ndarray, base: np.ndarray, rho4: np.ndarray, rho_b: np.ndarray):
@@ -232,7 +226,7 @@ def _kkt_finish(x: np.ndarray, base: np.ndarray, rho4: np.ndarray, rho_b: np.nda
     """
     mu, moved = None, math.inf
     for steps in range(_KKT_STEPS + 1):
-        lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS.reshape(2, 12, 16)).reshape(2, 4, 4))
+        lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS).reshape(2, 4, 4))
         if lam[0, 0] <= 0.0:
             return None
         weight = u[0].conj().T @ rho4 @ u[0]
@@ -263,7 +257,7 @@ def _kkt_finish(x: np.ndarray, base: np.ndarray, rho4: np.ndarray, rho_b: np.nda
     bound, f = _face_certificate(lam, u, weight, mu, rho_b)
     if not f - bound <= 8.0 / _STAGES[-1]:
         return None
-    return base[0] + (x @ _DIRECTIONS[0].reshape(12, 16)).reshape(4, 4), bound
+    return base[0] + (x @ _DIRECTIONS[0]).reshape(4, 4), bound
 
 
 def _ppt_minimizer(rho4: np.ndarray, rho_b: np.ndarray):
@@ -287,7 +281,8 @@ def _ppt_minimizer(rho4: np.ndarray, rho_b: np.ndarray):
     and the bound is None.  None when rho_B is singular: the feasible set
     then has no interior.
     """
-    base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])  # sigma(0) and its T_B
+    sigma0 = np.kron(np.eye(2) / 2, rho_b)
+    base = np.stack([sigma0, _partial_transpose(sigma0)])
     x = np.zeros(12)
     point = _barrier_point(x, _STAGES[0], base, rho4)
     if point is None:
@@ -297,4 +292,4 @@ def _ppt_minimizer(rho4: np.ndarray, rho_b: np.ndarray):
     if finish is not None:
         return finish
     x, point = _centered(x, point, _STAGES[_FACE_STAGES:], base, rho4)
-    return base[0] + (x @ _DIRECTIONS[0].reshape(12, 16)).reshape(4, 4), None
+    return base[0] + (x @ _DIRECTIONS[0]).reshape(4, 4), None

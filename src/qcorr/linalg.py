@@ -186,6 +186,11 @@ def partial_trace(
     return tensor.reshape(d_keep, d_keep)
 
 
+def _partial_transpose(m: np.ndarray) -> np.ndarray:
+    """The partial transpose on B of two-qubit matrices, shape (..., 4, 4)."""
+    return m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(m.shape)
+
+
 def realign(t: np.ndarray) -> np.ndarray:
     """Swap the inner index pair of a d^2 x d^2 map matrix.
 

@@ -14,9 +14,9 @@ winners in lockstep: 13x13 grids in the tangent plane at each best point,
 quartering their width each round until it is below sqrt(eps).  It uses
 numpy alone and is deterministic for a fixed configuration.  A measurement
 is an axis {n, -n}, so the grid covers each once: phi runs over [0, pi).
-Grid ties go to the first angle pair in (theta, phi) order.  The reported
-axis is the one of +/-n whose first nonzero coordinate in (y, x, z) order
-is positive, which puts theta in [0, pi] and phi in [0, pi).
+Grid ties go to the first angle pair in (theta, phi) order.  The reported axis
+is the one of +/-n whose first coordinate in (y, x, z) order above 6 sqrt(eps) in
+magnitude is positive, smaller ones read as 0: theta in [0, pi], phi in [0, pi).
 """
 
 from __future__ import annotations
@@ -173,6 +173,9 @@ _ZOOM_V = np.tile(np.linspace(-1.0, 1.0, 13), 13)
 #: rounding of the value (eps relative) once w < sqrt(eps): narrower rounds
 #: only chase rounding.
 _ZOOM_XTOL = math.sqrt(np.finfo(float).eps)
+#: :func:`_axis_angles` reads axis coordinates up to this as 0: the zoom places an optimum only to a
+#: few ``_ZOOM_XTOL`` (y reached 4e-8 on real states, where it is 0), too coarse to pick the axis's sign.
+_AXIS_ZERO = 6.0 * _ZOOM_XTOL
 
 
 def minimize(objective, theta, phi, value, width: float, rounds: int) -> ZoomResult:
@@ -251,17 +254,17 @@ def _search(fano: np.ndarray, s_b: float, cfg: OptimizerConfig):
 
     zoom = minimize(objective, *zip(*start), best, 2.0 * (math.pi / (r - 1)), cfg.refine_iterations)
     measured, pinched = (
-        OptimizationResult(sign * float(fun), *_axis_angles(*x), r * r + zoom.nfev // 2)
+        OptimizationResult(sign * float(fun) + 0.0, *_axis_angles(*x), r * r + zoom.nfev // 2)  # never -0.0
         for sign, fun, x in zip((-1.0, 1.0), zoom.fun, zoom.x)
     )
     return measured, pinched, zoom
 
 
 def _axis_angles(theta: float, phi: float):
-    """Angles of the one of +/-n(theta, phi) whose first nonzero coordinate
-    in (y, x, z) order is positive: theta in [0, pi], phi in [0, pi), never -0.0."""
+    """Angles of the one of +/-n(theta, phi) whose first coordinate above ``_AXIS_ZERO`` in (y, x, z) order
+    is positive, with smaller ones read as 0: theta in [0, pi], phi in [0, pi), never -0.0."""
     st = math.sin(theta)
-    n = (st * math.sin(phi), st * math.cos(phi), math.cos(theta))
+    n = [c if abs(c) > _AXIS_ZERO else 0.0 for c in (st * math.sin(phi), st * math.cos(phi), math.cos(theta))]
     sign = next(math.copysign(1.0, c) for c in n if c != 0.0)
     y, x, z = (sign * c + 0.0 for c in n)  # + 0.0 turns -0.0 into 0.0
     return math.atan2(math.hypot(x, y), z), math.atan2(y, x)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ppt import _partial_transpose, _ppt_minimizer
+from ._ppt import _ppt_minimizer
 from .entropy import relative_entropy, von_neumann_entropy
 from .errors import DimensionMismatch, NegativeEigenvalue, NotRankOne
-from .linalg import PAULI_PRODUCTS, ROUNDING_TOL, partial_trace
+from .linalg import PAULI_PRODUCTS, ROUNDING_TOL, _partial_transpose, partial_trace
 from .measurement import (
     ProjectiveMeasurement,
     _measure_extension,

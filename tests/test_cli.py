@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from qcorr import OptimizerConfig, bell_state, example_separable, measure_report
+from qcorr import cli
 from qcorr.cli import main
+from qcorr.errors import DimensionMismatch
 
 
 def write_state(path, dims, matrix):
@@ -14,6 +17,15 @@ def write_state(path, dims, matrix):
     }
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def negative_zeros(node) -> list:
+    """Every -0.0 in a parsed JSON document."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [z for v in node for z in negative_zeros(v)]
+    return [node] if isinstance(node, float) and node == 0.0 and math.copysign(1.0, node) < 0 else []
 
 
 @pytest.fixture
@@ -85,6 +97,19 @@ class TestMeasures:
         report = json.loads(capsys.readouterr().out)
         for value in report["measures"].values():
             assert abs(value) < 1e-8
+
+    @pytest.mark.parametrize(
+        "matrix", [np.diag([1.0, 0.0, 0.0, 0.0]), np.kron(np.diag([0.3, 0.7]), np.diag([1.0, 0.0]))],
+        ids=["pure-00", "rho_a-x-0"],
+    )
+    def test_no_measure_reads_negative_zero(self, tmp_path, capsys, matrix):
+        # B is pure, so J is 0 for every measurement; -1.0 * 0.0 once printed C_A = -0 bits
+        path = write_state(tmp_path / "b-pure.json", (2, 2), matrix)
+        assert main(["measures", path]) == 0
+        out = capsys.readouterr().out
+        assert "C_A = 0 bits" in out and " = -0" not in out
+        assert main(["measures", path, "--json"]) == 0
+        assert negative_zeros(json.loads(capsys.readouterr().out)) == []
 
     def test_separable_example_has_positive_discord(self, separable_file, capsys):
         assert main(["measures", separable_file, "--grid", "32"]) == 0
@@ -243,6 +268,16 @@ class TestRejectsInvalidInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"unsupported dimensions: {argv[0]} requires dims (2, 2), got (2, 2, 2)\n"
+
+    def test_any_other_package_error_exits_3(self, bell_file, capsys, monkeypatch):
+        def fail(rho):
+            raise DimensionMismatch("witness B marginal is off")
+
+        monkeypatch.setattr(cli, "quantumness_upper_bound", fail)
+        assert main(["quantumness", bell_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: witness B marginal is off\n"
 
     @pytest.mark.parametrize("flag", [["--restarts", "-3"], ["--seed", "-1"], ["--terms", "3"]])
     def test_quantumness_out_of_range_exits_5(self, bell_file, capsys, flag):

@@ -3,6 +3,7 @@ import pytest
 
 from qcorr.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
 from qcorr.linalg import (
+    _partial_transpose,
     hermitian_eig,
     matrix_log_on_support,
     partial_trace,
@@ -173,6 +174,21 @@ class TestPartialTrace:
     def test_rejects_dims_that_are_not_integers(self, dims):
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(4), dims, [0])
+
+
+class TestPartialTranspose:
+    def test_transposes_the_b_factor_over_leading_axes(self):
+        rng = np.random.default_rng(5)
+        a, b = (rng.standard_normal((3, 2, 2, 2)) + 1j * rng.standard_normal((3, 2, 2, 2)) for _ in range(2))
+        products = np.array([[np.kron(x, y) for x, y in zip(xs, ys)] for xs, ys in zip(a, b)])
+        transposed = np.array([[np.kron(x, y.T) for x, y in zip(xs, ys)] for xs, ys in zip(a, b)])
+        assert np.array_equal(_partial_transpose(products), transposed)
+        assert np.array_equal(_partial_transpose(products[0, 0]), transposed[0, 0])
+
+    def test_bell_state_has_a_negative_eigenvalue(self):
+        bell = np.zeros((4, 4))
+        bell[np.ix_([0, 3], [0, 3])] = 0.5
+        assert np.allclose(np.linalg.eigvalsh(_partial_transpose(bell)), [-0.5, 0.5, 0.5, 0.5])
 
 
 class TestRealign:

@@ -47,6 +47,27 @@ from oracles import (
 
 FAST = OptimizerConfig(grid_resolution=32, refine_iterations=200)
 
+#: The mixing weights of the ten ``separable-*`` inputs of perfbench's measures corpus, seeds 1-5.
+CORPUS_SEPARABLE_P = (
+    0.3867231545358617, 0.6103453978537006, 0.03842516722887472, 0.7238245733016762, 0.2542612328993521,
+    0.8461283900244276, 0.23816987225950983, 0.6906219582254018, 0.23110292312728614, 0.717264012626945,
+)
+
+
+def corpus_separable(p):
+    """p |00><00| + (1 - p) |++><++| bit for bit as perfbench's corpus writes it, off from example_separable(p)."""
+    projectors = []
+    for v in (np.kron([1, 0], [1, 0]), np.kron([1, 1], [1, 1]) / 2.0):
+        v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
+        projectors.append(np.outer(v, v.conj()))
+    return p * projectors[0] + (1 - p) * projectors[1]
+
+
+def reported_angles(matrix):
+    rep = measure_report(validate_density(matrix, (2, 2)))
+    oneway = rep.diagnostics["oneway_theta"], rep.diagnostics["oneway_phi"]
+    return np.array([rep.optimal_theta, rep.optimal_phi, *oneway])
+
 
 class TestMeasuredMutualInformation:
     def test_product_state_any_measurement(self):
@@ -289,8 +310,8 @@ class TestOptimizerBehaviour:
         assert first == second
 
     def test_reported_axis_is_canonical(self, random_two_qubit_corpus):
-        # of +/-n the reported one has its first nonzero coordinate in
-        # (y, x, z) order positive, and it attains the optimum it reports
+        # of +/-n the reported one has its first coordinate above measures._AXIS_ZERO
+        # in (y, x, z) order positive, and it attains the optimum it reports
         for rho in random_two_qubit_corpus + [example_separable(0.3)]:
             opt = maximize_measured_mi(rho)
             assert 0.0 <= opt.theta <= math.pi
@@ -298,6 +319,23 @@ class TestOptimizerBehaviour:
             assert math.copysign(1.0, opt.phi) == 1.0
             value = measured_mutual_information(rho, bloch_projectors(opt.theta, opt.phi))
             assert abs(value - opt.value) < 1e-12
+
+    @pytest.mark.parametrize("p", CORPUS_SEPARABLE_P)
+    def test_real_states_report_phi_zero(self, p):
+        # y is 0 on a real state; zoom noise of up to 1.6e-8 in y once set the sign, giving phi = pi - O(1e-8)
+        assert reported_angles(corpus_separable(p))[1::2].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("p", CORPUS_SEPARABLE_P[:4])
+    def test_last_bit_perturbations_leave_the_angles_unchanged(self, p):
+        # the zoom places the axis to about 5e-8; n and -n, a change of about pi, once swapped here
+        matrix = corpus_separable(p)
+        angles = reported_angles(matrix)
+        for i, j in [(0, 0), (0, 1), (0, 3), (2, 3)]:
+            for toward in (-np.inf, np.inf):
+                perturbed = matrix.copy()
+                perturbed[i, j] = np.nextafter(matrix[i, j].real, toward)
+                perturbed[j, i] = perturbed[i, j]
+                assert np.abs(reported_angles(perturbed) - angles).max() < 1e-6
 
     def test_bell_tie_breaks_to_smallest_angles(self):
         # every measurement attains the optimum, so the grid origin wins
@@ -316,6 +354,18 @@ class TestMeasureReport:
                 continue  # clipped: the raw value is not reported
             increase = von_neumann_entropy(pinch(rho, bloch_projectors(theta, phi))) - von_neumann_entropy(rho)
             assert abs(increase - rep.oneway_deficit) < 1e-12
+
+    @pytest.mark.parametrize(
+        "matrix", [np.diag([1.0, 0.0, 0.0, 0.0]), np.kron(np.diag([0.3, 0.7]), np.diag([1.0, 0.0]))],
+        ids=["pure-00", "rho_a-x-0"],
+    )
+    def test_no_value_reads_negative_zero(self, matrix):
+        # B is pure, so J is 0 for every measurement: -1.0 * 0.0 once reported C_A = -0.0
+        rep = measure_report(validate_density(matrix, (2, 2)))
+        values = [rep.mutual_information, rep.discord, rep.classical_correlation, rep.oneway_deficit,
+                  rep.quantum_deficit, rep.optimal_theta, rep.optimal_phi,
+                  *(v for v in rep.diagnostics.values() if isinstance(v, float))]
+        assert [v for v in values if v == 0.0 and math.copysign(1.0, v) < 0] == []
 
     def test_identity_holds_exactly(self):
         rho = random_density((2, 2), 321)

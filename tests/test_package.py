@@ -99,3 +99,23 @@ def test_each_input_check_has_one_home():
         "measurement.ProjectiveMeasurement.__post_init__",
         "states.validate_density",
     ]
+
+
+def test_two_qubit_partial_transpose_has_one_home():
+    """linalg._partial_transpose is the only T_B: no other module swaps the axes of a (..., 2, 2, 2, 2) split,
+    and quantumness takes only the solver from _ppt."""
+    homes, swaps, from_ppt = [], [], []
+    for path in sorted(Path(qcorr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_partial_transpose":
+                homes.append(path.stem)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "swapaxes":
+                split = node.func.value
+                if isinstance(split, ast.Call) and ast.unparse(split.func).split(".")[-1] == "reshape":
+                    if [ast.unparse(a) for a in split.args[-4:]] == ["2"] * 4 and path.stem != "linalg":
+                        swaps.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "_ppt" and path.stem == "quantumness":
+                from_ppt += [alias.name for alias in node.names]
+    assert homes == ["linalg"]
+    assert swaps == []
+    assert from_ppt == ["_ppt_minimizer"]

@@ -17,7 +17,7 @@ from qcorr import (
     von_neumann_entropy,
 )
 from qcorr.errors import DimensionMismatch, NotRankOne, OutOfRange, QcorrError, UnsupportedDimension
-from qcorr.linalg import bloch_states, partial_trace
+from qcorr.linalg import _partial_transpose, bloch_states, partial_trace
 from qcorr.maps import dual_Q
 from qcorr.measurement import ProjectiveMeasurement
 from qcorr.states import SeparableEnsemble
@@ -253,7 +253,7 @@ def _product_mixture(rank, seed):
 def _ppt_random_states():
     """The first four ``random_density`` states whose partial transpose is positive definite."""
     states = (random_density((2, 2), s).matrix for s in range(60))
-    return [m for m in states if np.linalg.eigvalsh(m.reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4))[0] > 0][:4]
+    return [m for m in states if np.linalg.eigvalsh(_partial_transpose(m))[0] > 0][:4]
 
 
 def _werner(bell_weight):
@@ -399,13 +399,13 @@ class TestFaceCertificate:
             base = np.stack([np.kron(np.eye(2) / 2, m) for m in (rho_b, rho_b.T)])
             exact = bell_diagonal_quantumness(weights) + von_neumann_entropy(validate_density(rho, (2, 2)))
             for x in [np.zeros(12), *rng.uniform(-0.1, 0.1, (4, 12))]:
-                lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS.reshape(2, 12, 16)).reshape(2, 4, 4))
+                lam, u = np.linalg.eigh(base + (x @ _DIRECTIONS).reshape(2, 4, 4))
                 weight = u[0].conj().T @ rho @ u[0]
                 bound, _ = _face_certificate(lam, u, weight, mu, rho_b)
                 assert bound / np.log(2.0) <= exact + 1e-12
 
 
-_SOLVER_CASES = [*range(10), "pure", "separable"]
+_SOLVER_CASES = [*range(10), "pure", "separable", "ppt-werner"]
 
 
 def _solver_case(case):
@@ -413,6 +413,8 @@ def _solver_case(case):
         return _two_qubit_pure(0.3).matrix
     if case == "separable":
         return example_separable(0.4).matrix
+    if case == "ppt-werner":
+        return _werner(0.2)
     return random_density((2, 2), case).matrix
 
 
@@ -562,7 +564,7 @@ class TestPptSolve:
         finish = _ppt._kkt_finish
 
         def recorded(x, base, *args):
-            starts.append(base[0] + (x @ _ppt._DIRECTIONS[0].reshape(12, 16)).reshape(4, 4))
+            starts.append(base[0] + (x @ _ppt._DIRECTIONS[0]).reshape(4, 4))
             return finish(x, base, *args)
 
         monkeypatch.setattr(_ppt, "_kkt_finish", recorded)
@@ -583,8 +585,9 @@ class TestPptSolve:
         reference = ppt_minimizer_reference(rho, rho_b, _newton_step)
         bound, parent = (relative_entropy(rho, _product_decomposition(s).assemble()) for s in (sigma, reference))
         assert bound <= parent + 1e-13
-        # The finish lands on the face of every full-rank case; the pure and the separable ones fall back.
-        assert (certified is None) == (case in ("pure", "separable"))
+        # The finish lands on the face of every full-rank entangled case.  The pure and the separable
+        # ones fall back, and so does the PPT Werner state: its minimum is interior (mu < 0).
+        assert (certified is None) == (case in ("pure", "separable", "ppt-werner"))
 
     @pytest.mark.parametrize("case", _SOLVER_CASES)
     def test_rejected_finish_leaves_the_reference_loop_unchanged(self, case, monkeypatch):
@@ -609,6 +612,33 @@ class TestPptSolve:
                 rejected += 1
                 assert np.array_equal(sigma, ppt_minimizer_reference(rho, rho_b, _newton_step))
         assert rejected >= 1
+
+    @pytest.mark.parametrize(
+        "seed, x",
+        # At sigma(0) = I/4 every eigenvalue of sigma^{T_B} is repeated, so the face has no gradient.
+        # Far from the face the fitted multiplier leaves the Hessian with a nonpositive diagonal entry.
+        [(None, np.zeros(12)), (1, np.random.default_rng([1, 0]).uniform(-0.3, 0.3, 12))],
+        ids=["repeated-least-eigenvalue", "not-convex"],
+    )
+    def test_finish_off_the_face_is_rejected(self, seed, x):
+        from qcorr._ppt import _kkt_finish
+
+        rho = bell_state().matrix if seed is None else random_density((2, 2), seed).matrix
+        rho_b = partial_trace(rho, (2, 2), [1])
+        sigma0 = np.kron(np.eye(2) / 2, rho_b)
+        assert _kkt_finish(x, np.stack([sigma0, _partial_transpose(sigma0)]), rho, rho_b) is None
+
+    def test_stage_without_a_feasible_decrease_keeps_its_point(self, monkeypatch):
+        from qcorr import _ppt
+
+        rho = _werner(0.8)
+        rho_b = partial_trace(rho, (2, 2), [1])
+        sigma0 = np.kron(np.eye(2) / 2, rho_b)
+        base = np.stack([sigma0, _partial_transpose(sigma0)])
+        start = _ppt._barrier_point(np.zeros(12), 1.0, base, rho)
+        monkeypatch.setattr(_ppt, "_barrier_point", lambda *args: None)  # every trial point leaves the cone
+        x, point = _ppt._centered(np.zeros(12), start, _ppt._STAGES[:2], base, rho)
+        assert np.array_equal(x, np.zeros(12)) and np.array_equal(point[1], start[1])
 
     def test_newton_and_kkt_steps(self, monkeypatch):
         # Every barrier Newton step and every KKT step is one scaled solve.

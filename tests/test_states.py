@@ -33,7 +33,7 @@ from oracles import classical_correlated_reference, example_extension_reference,
 class TestValidateDensity:
     def test_maximally_mixed_two_qubits(self):
         state = validate_density(np.eye(4) / 4, (2, 2))
-        assert state.dims == (2, 2)
+        assert state.dims == (2, 2) and state.dim == 4
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotDensity):
@@ -324,6 +324,7 @@ class TestKet:
 
     def test_helper_normalizes(self):
         k = ket(1, 1)
+        assert k.dim == 2
         assert abs(np.linalg.norm(k.amplitudes) - 1.0) < 1e-15
         assert np.allclose(k.projector(), 0.5 * np.ones((2, 2)))
 
